@@ -22,16 +22,14 @@ from suffreduce.estimators import (
     solve,
 )
 from suffreduce.instances import two_community
-from suffreduce.linkage import cut_dendrogram, mst_kruskal, threshold_components
+from suffreduce.linkage import components, cut_dendrogram, mst_kruskal
 from suffreduce.penalty import PenaltyKind, PenaltySpec
 from suffreduce.symmat import SymMatrix
 
 
 def support_blocks(theta, rel_tol=1e-8):
     td = theta.dense()
-    keep = (np.abs(td) > rel_tol * np.max(np.abs(td))).astype(float)
-    np.fill_diagonal(keep, 1.0)
-    return threshold_components(SymMatrix.wrap(keep), 0.5)
+    return components(np.abs(td) > rel_tol * np.max(np.abs(td)))
 
 
 def main(argv=None):

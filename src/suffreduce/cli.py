@@ -24,8 +24,9 @@ from .estimators import (
 )
 from .instances import random_instance
 from .io import read_matrix_csv, read_votes_csv, write_json, write_matrix_csv
-from .linkage import cut_dendrogram, mst_kruskal, slt, slt_plus
-from .penalty import PenaltyKind, PenaltySpec
+from .linkage import cluster_matrix, cut_dendrogram, mst_kruskal
+from .penalty import GroupId, PenaltyKind, PenaltySpec
+from .reductions import reduce_input
 from .symmat import SymMatrix, uncentered_covariance
 from .verify import run_suite
 
@@ -124,8 +125,6 @@ def _cmd_cluster(args) -> int:
     if args.clusters is not None:
         if args.lam is None:
             raise ValueError("--clusters requires --lam")
-        from .linkage import cluster_matrix
-
         part = cut_dendrogram(dend, args.lam)
         write_matrix_csv(args.clusters, cluster_matrix(part).dense())
     return EXIT_OK
@@ -136,18 +135,13 @@ def _cmd_threshold(args) -> int:
     if args.mode == "l1":
         if args.lam is None:
             raise ValueError("--mode l1 requires --lam")
-        reduced = slt(x, args.lam)
-        from .linkage import slc
-
-        mask = slc(SymMatrix(x.p, np.abs(x.upper)), args.lam)
+        penalty = PenaltySpec(PenaltyKind.SYMMETRIC_L1, args.lam)
     else:
-        reduced = slt_plus(x)
-        from .linkage import slc
-
-        mask = slc(x, 0.0)
-    write_matrix_csv(args.output, reduced.dense())
+        penalty = PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)
+    rp = reduce_input(penalty, GroupId.DIAGONAL_CONJUGATION, x)
+    write_matrix_csv(args.output, rp.reduced.dense())
     if args.mask is not None:
-        write_matrix_csv(args.mask, mask.dense())
+        write_matrix_csv(args.mask, rp.mask.matrix.dense())
     return EXIT_OK
 
 

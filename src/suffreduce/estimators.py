@@ -1,11 +1,16 @@
 """Reference solvers for the supported penalized estimator families.
 
-Matrix families run a shared ADMM pattern (one smooth/constrained step, one
-soft-threshold or projection step, scaled dual update, over-relaxation and
-residual-balanced rho).  Convergence is declared only when an independently
-recomputed KKT residual at the reported point falls below
-``opts.tol * (1 + max|input|)``; the same residual functions are exposed for
-verification, so the certificate never reuses solver state.
+glasso, sparse_cov and positive_invcov run on one ADMM driver, :func:`_admm`
+(one smooth/constrained proximal step, one soft-threshold or projection step,
+scaled dual update, over-relaxation and residual-balanced rho); each solver
+supplies only its two proximal maps, its start point and its certificate.
+Convergence is declared only when an independently recomputed KKT residual
+at the reported point falls below ``opts.tol * (1 + max|input|)``; the same
+residual functions are exposed for verification, so the certificate never
+reuses solver state, and a point with a non-finite entry never certifies.
+
+fantope_spca keeps its own ADMM loop and still stops on its ADMM residuals
+rather than on an independent certificate (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -13,16 +18,15 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .linkage import Partition
 from .penalty import GroupId, PenaltyKind, PenaltySpec
-from .reductions import ReducedProblem, reduce_input, reassemble_blocks
-from .symmat import SymMatrix, eigh_dense
+from .reductions import ReducedProblem, decompose_blocks, reassemble_blocks, reduce_input
+from .symmat import SymMatrix
 
 __all__ = [
     "Family",
@@ -88,6 +92,18 @@ class SolverOptions:
     adapt_rho: bool = True
     check_every: int = 25
 
+    def __post_init__(self):
+        needs = {
+            "tol > 0": self.tol > 0,
+            "max_iter >= 1": self.max_iter >= 1,
+            "check_every >= 1": self.check_every >= 1,
+            "rho > 0": self.rho > 0,
+            "0 < over_relax < 2": 0 < self.over_relax < 2,
+        }
+        bad = [need for need, ok in needs.items() if not ok]
+        if bad:
+            raise ValueError(f"invalid solver options {self}: need {', '.join(bad)}")
+
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -142,6 +158,71 @@ def _report_matrix(theta, objective, kkt, iters, converged) -> SolveReport:
     )
 
 
+def _certificate(residual):
+    """Make a KKT residual return inf at a point with a non-finite entry.
+
+    The point is the residual's last positional argument.  Without this a
+    NaN point could certify: ``max(0.0, nan)`` is 0.0.
+    """
+    @wraps(residual)
+    def checked(*args, **kwargs):
+        if not np.all(np.isfinite(args[-1])):
+            return np.inf
+        return residual(*args, **kwargs)
+
+    return checked
+
+
+def _admm(name, prox_f, prox_g, z0, certify, opts: SolverOptions, tol: float):
+    """Over-relaxed scaled ADMM with residual-balanced rho for
+    min f(theta) + g(z) s.t. theta = z (Boyd et al. 2011, sec. 3.4.1).
+
+    ``prox_f(v, rho)`` and ``prox_g(a, rho)`` return argmin f + rho/2 |. - v|^2
+    and argmin g + rho/2 |. - a|^2.  Every ``opts.check_every`` iterations
+    and at the last one, ``certify(theta, z)`` returns (residual, reported
+    point); the first point whose residual is <= tol is returned as
+    (point, residual, iterations).  Raises ConvergenceError otherwise.
+    """
+    rho = opts.rho
+    alpha = opts.over_relax
+    z = z0
+    u = np.zeros_like(z0)
+    for it in range(1, opts.max_iter + 1):
+        theta = prox_f(z - u, rho)
+        z_old = z
+        th_hat = alpha * theta + (1.0 - alpha) * z_old
+        z = prox_g(th_hat + u, rho)
+        u = u + th_hat - z
+        if it % opts.check_every == 0 or it == opts.max_iter:
+            resid, point = certify(theta, z)
+            if resid <= tol:
+                return point, resid, it
+        if opts.adapt_rho:
+            r_norm = float(np.linalg.norm(theta - z))
+            s_norm = rho * float(np.linalg.norm(z - z_old))
+            if r_norm > 10.0 * s_norm and rho < 1e5:
+                rho *= 2.0
+                u /= 2.0
+            elif s_norm > 10.0 * r_norm and rho > 1e-3:
+                rho /= 2.0
+                u *= 2.0
+    raise ConvergenceError(
+        f"{name} did not reach tol {tol:.3e} in {opts.max_iter} iterations"
+    )
+
+
+def _logdet_prox(s):
+    """prox_f for f(theta) = -log det(theta) + <s, theta>: one
+    eigendecomposition, eigenvalues mapped to the positive root."""
+    def prox(v, rho):
+        w, q = np.linalg.eigh(rho * v - s)
+        gamma = (w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho)
+        theta = (q * gamma) @ q.T
+        return (theta + theta.T) / 2.0
+
+    return prox
+
+
 # =====================================================================
 # closed-form vector families
 # =====================================================================
@@ -181,6 +262,7 @@ def _lambda_matrix(lam, p: int, penalize_diagonal: bool) -> np.ndarray:
     return lam_arr.copy()
 
 
+@_certificate
 def _glasso_kkt(s, lam_mat, z) -> float:
     w, q = np.linalg.eigh(z)
     if w[0] <= 0.0:
@@ -219,7 +301,6 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
     s = x.dense()
     p = x.p
     lam_mat = _lambda_matrix(lam, p, penalize_diagonal)
-    scale = _scale(s)
     if np.any((np.diag(lam_mat) == 0.0) & (np.diag(s) <= 0.0)):
         raise NoSolutionError(
             "unpenalized diagonal requires strictly positive input diagonal"
@@ -237,37 +318,16 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
         return _report_matrix(theta, _glasso_objective(s, lam_mat, theta),
                               kkt, 0, True)
 
-    rho = opts.rho
-    alpha = opts.over_relax
-    z = np.diag(1.0 / np.clip(np.diag(s), 1e-8, None))
-    u = np.zeros((p, p))
-    tol = opts.tol * scale
-    for it in range(1, opts.max_iter + 1):
-        w, q = np.linalg.eigh(rho * (z - u) - s)
-        gamma = (w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho)
-        theta = (q * gamma) @ q.T
-        theta = (theta + theta.T) / 2.0
-        z_old = z
-        th_hat = alpha * theta + (1.0 - alpha) * z_old
-        z = _soft(th_hat + u, lam_mat / rho)
-        u = u + th_hat - z
-        if it % opts.check_every == 0 or it == opts.max_iter:
-            kkt = _glasso_kkt(s, lam_mat, z)
-            if kkt <= tol:
-                return _report_matrix(z, _glasso_objective(s, lam_mat, z),
-                                      kkt, it, True)
-        if opts.adapt_rho:
-            r_norm = float(np.linalg.norm(theta - z))
-            s_norm = rho * float(np.linalg.norm(z - z_old))
-            if r_norm > 10.0 * s_norm and rho < 1e5:
-                rho *= 2.0
-                u /= 2.0
-            elif s_norm > 10.0 * r_norm and rho > 1e-3:
-                rho /= 2.0
-                u *= 2.0
-    raise ConvergenceError(
-        f"glasso did not reach tol {tol:.3e} in {opts.max_iter} iterations"
+    z, kkt, it = _admm(
+        "glasso",
+        _logdet_prox(s),
+        lambda a, rho: _soft(a, lam_mat / rho),
+        np.diag(1.0 / np.clip(np.diag(s), 1e-8, None)),
+        lambda theta, z: (_glasso_kkt(s, lam_mat, z), z),
+        opts,
+        opts.tol * _scale(s),
     )
+    return _report_matrix(z, _glasso_objective(s, lam_mat, z), kkt, it, True)
 
 
 # =====================================================================
@@ -320,6 +380,7 @@ def fantope_project(w: SymMatrix, k: int) -> SymMatrix:
     return SymMatrix.wrap(_fantope_project_dense(w.dense(), k))
 
 
+@_certificate
 def _fantope_kkt(s, lam, k, z) -> float:
     """Fixed-point residual max|z - prox(z + s)| for the map
     prox_h with h = lam*||.||_1 + indicator of the spectral set.
@@ -402,6 +463,7 @@ def _spectral_floor(a: np.ndarray, eps: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+@_certificate
 def _sparse_cov_kkt(s, lam, eps, theta, rounds: int = 12) -> float:
     """Best certificate found by alternating the subgradient choice with the
     projection of the multiplier onto the active-eigenspace PSD cone."""
@@ -428,6 +490,10 @@ def _sparse_cov_kkt(s, lam, eps, theta, rounds: int = 12) -> float:
     return resid
 
 
+def _sparse_cov_objective(s, lam, theta) -> float:
+    return float(0.5 * np.sum((s - theta) ** 2) + lam * np.sum(np.abs(theta)))
+
+
 def sparse_cov(x: SymMatrix, lam: float, eps: float, opts: SolverOptions | None = None) -> SolveReport:
     """Soft-thresholded covariance with eigenvalues floored at eps.
 
@@ -443,49 +509,28 @@ def sparse_cov(x: SymMatrix, lam: float, eps: float, opts: SolverOptions | None 
     if eps <= 0:
         raise ValueError("eigenvalue floor eps must be positive")
     s = x.dense()
-    p = x.p
-    scale = _scale(s)
     direct = _soft(s, lam)
     if np.linalg.eigvalsh(direct)[0] >= eps:
         kkt = _sparse_cov_kkt(s, lam, eps, direct)
-        obj = float(0.5 * np.sum((s - direct) ** 2) + lam * np.sum(np.abs(direct)))
-        return _report_matrix(direct, obj, kkt, 0, True)
+        return _report_matrix(direct, _sparse_cov_objective(s, lam, direct), kkt, 0, True)
 
-    tol = opts.tol * scale
-    rho = opts.rho
-    alpha = opts.over_relax
-    z = _spectral_floor(direct, eps)
-    u = np.zeros((p, p))
-    theta = z
-    for it in range(1, opts.max_iter + 1):
-        theta = _spectral_floor((s + rho * (z - u)) / (1.0 + rho), eps)
-        z_old = z
-        th_hat = alpha * theta + (1.0 - alpha) * z_old
-        z = _soft(th_hat + u, lam / rho)
-        u = u + th_hat - z
-        if it % opts.check_every == 0 or it == opts.max_iter:
-            kkt = _sparse_cov_kkt(s, lam, eps, theta)
-            if kkt <= tol:
-                obj = float(0.5 * np.sum((s - theta) ** 2) + lam * np.sum(np.abs(theta)))
-                return _report_matrix(theta, obj, kkt, it, True)
-        if opts.adapt_rho:
-            r_norm = float(np.linalg.norm(theta - z))
-            s_norm = rho * float(np.linalg.norm(z - z_old))
-            if r_norm > 10.0 * s_norm and rho < 1e5:
-                rho *= 2.0
-                u /= 2.0
-            elif s_norm > 10.0 * r_norm and rho > 1e-3:
-                rho /= 2.0
-                u *= 2.0
-    raise ConvergenceError(
-        f"sparse_cov did not reach tol {tol:.3e} in {opts.max_iter} iterations"
+    theta, kkt, it = _admm(
+        "sparse_cov",
+        lambda v, rho: _spectral_floor((s + rho * v) / (1.0 + rho), eps),
+        lambda a, rho: _soft(a, lam / rho),
+        _spectral_floor(direct, eps),
+        lambda theta, z: (_sparse_cov_kkt(s, lam, eps, theta), theta),
+        opts,
+        opts.tol * _scale(s),
     )
+    return _report_matrix(theta, _sparse_cov_objective(s, lam, theta), kkt, it, True)
 
 
 # =====================================================================
 # sign-constrained inverse covariance
 # =====================================================================
 
+@_certificate
 def _positive_invcov_kkt(s, z) -> float:
     w, q = np.linalg.eigh(z)
     if w[0] <= 0.0:
@@ -502,6 +547,13 @@ def _positive_invcov_kkt(s, z) -> float:
     return worst
 
 
+def _positive_invcov_objective(s, z) -> float:
+    w = np.linalg.eigvalsh(z)
+    if w[0] <= 0:
+        return np.inf
+    return float(-np.sum(np.log(w)) + np.sum(s * z))
+
+
 def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveReport:
     """Gaussian likelihood fit with nonpositive off-diagonal precision.
 
@@ -512,44 +564,19 @@ def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveRep
     """
     opts = opts or SolverOptions()
     s = x.dense()
-    p = x.p
     if np.any(np.diag(s) <= 0.0):
         raise NoSolutionError("input diagonal must be strictly positive")
-    scale = _scale(s)
-    tol = opts.tol * scale
-    rho = opts.rho
-    alpha = opts.over_relax
-    off_mask = ~np.eye(p, dtype=bool)
-    z = np.diag(1.0 / np.diag(s))
-    u = np.zeros((p, p))
-    for it in range(1, opts.max_iter + 1):
-        w, q = np.linalg.eigh(rho * (z - u) - s)
-        gamma = (w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho)
-        theta = (q * gamma) @ q.T
-        theta = (theta + theta.T) / 2.0
-        z_old = z
-        th_hat = alpha * theta + (1.0 - alpha) * z_old
-        z = th_hat + u
-        z[off_mask] = np.minimum(z[off_mask], 0.0)
-        u = u + th_hat - z
-        if it % opts.check_every == 0 or it == opts.max_iter:
-            kkt = _positive_invcov_kkt(s, z)
-            if kkt <= tol:
-                wv = np.linalg.eigvalsh(z)
-                obj = float(-np.sum(np.log(wv)) + np.sum(s * z))
-                return _report_matrix(z, obj, kkt, it, True)
-        if opts.adapt_rho:
-            r_norm = float(np.linalg.norm(theta - z))
-            s_norm = rho * float(np.linalg.norm(z - z_old))
-            if r_norm > 10.0 * s_norm and rho < 1e5:
-                rho *= 2.0
-                u /= 2.0
-            elif s_norm > 10.0 * r_norm and rho > 1e-3:
-                rho /= 2.0
-                u *= 2.0
-    raise ConvergenceError(
-        f"positive_invcov did not reach tol {tol:.3e} in {opts.max_iter} iterations"
+    off_mask = ~np.eye(x.p, dtype=bool)
+    z, kkt, it = _admm(
+        "positive_invcov",
+        _logdet_prox(s),
+        lambda a, rho: np.where(off_mask, np.minimum(a, 0.0), a),
+        np.diag(1.0 / np.diag(s)),
+        lambda theta, z: (_positive_invcov_kkt(s, z), z),
+        opts,
+        opts.tol * _scale(s),
     )
+    return _report_matrix(z, _positive_invcov_objective(s, z), kkt, it, True)
 
 
 # =====================================================================
@@ -587,6 +614,7 @@ def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
     return logz, SymMatrix.wrap(moment)
 
 
+@_certificate
 def _ising_kkt(moment_minus_s: np.ndarray, lam: float, theta: np.ndarray) -> float:
     p = theta.shape[0]
     off = ~np.eye(p, dtype=bool)
@@ -745,13 +773,9 @@ def objective_at(spec: EstimatorSpec, x, theta) -> float:
         lam = spec.penalty.scalar_weight()
         return float(np.sum(s * td) - lam * np.sum(np.abs(td)))
     if fam is Family.SPARSE_COV:
-        lam = spec.penalty.scalar_weight()
-        return float(0.5 * np.sum((s - td) ** 2) + lam * np.sum(np.abs(td)))
+        return _sparse_cov_objective(s, spec.penalty.scalar_weight(), td)
     if fam is Family.POSITIVE_INVCOV:
-        w = np.linalg.eigvalsh(td)
-        if w[0] <= 0:
-            return np.inf
-        return float(-np.sum(np.log(w)) + np.sum(s * td))
+        return _positive_invcov_objective(s, td)
     if fam is Family.ISING_PMLE:
         lam = spec.penalty.scalar_weight()
         logz, _ = ising_logpartition(SymMatrix.wrap(td))
@@ -855,22 +879,19 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
             None,
         )
 
-    reduced_dense = rp.reduced.dense()
-
-    def solve_block(blk):
-        idx = np.array(blk)
-        sub = SymMatrix.wrap(reduced_dense[np.ix_(idx, idx)])
+    def solve_block(piece):
+        blk, sub = piece
         start = time.perf_counter()
         rep = solve(spec, sub)
         return blk, rep, time.perf_counter() - start
 
-    blocks = rp.partition.blocks
-    workers = _max_workers(len(blocks))
-    if workers > 1 and len(blocks) > 1:
+    pieces = decompose_blocks(rp.reduced, rp.partition)
+    workers = _max_workers(len(pieces))
+    if workers > 1 and len(pieces) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_block, blocks))
+            results = list(pool.map(solve_block, pieces))
     else:
-        results = [solve_block(b) for b in blocks]
+        results = [solve_block(piece) for piece in pieces]
 
     theta = reassemble_blocks(xm.p, [(blk, rep.theta) for blk, rep, _ in results])
     stats = tuple(

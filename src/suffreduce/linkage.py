@@ -17,6 +17,7 @@ __all__ = [
     "UnionFind",
     "Dendrogram",
     "Partition",
+    "components",
     "threshold_components",
     "mst_kruskal",
     "cut_dendrogram",
@@ -100,10 +101,18 @@ def cluster_matrix(part: Partition) -> SymMatrix:
     return SymMatrix.wrap((lab[:, None] == lab[None, :]).astype(float))
 
 
-def _components_above(w: np.ndarray, tau: float) -> Partition:
-    p = w.shape[0]
+def components(adj) -> Partition:
+    """Connected components of the graph {(i, j): i != j, adj_ij != 0}.
+
+    ``adj`` is a symmetric (p, p) array, typically a boolean graph or a 0/1
+    mask; only its upper triangle is read and the diagonal is ignored.  The
+    relation need not be transitive: a path 0-1-2 gives one block even when
+    entry (0, 2) is zero.
+    """
+    adj = np.asarray(adj)
+    p = adj.shape[0]
     uf = UnionFind(p)
-    ii, jj = np.nonzero(np.triu(w > tau, k=1))
+    ii, jj = np.nonzero(np.triu(adj, k=1))
     for i, j in zip(ii.tolist(), jj.tolist()):
         uf.union(i, j)
     return Partition.from_labels([uf.find(i) for i in range(p)])
@@ -113,7 +122,7 @@ def threshold_components(x: SymMatrix, lam: float) -> Partition:
     """Connected components of the graph {(i, j): i != j, |x_ij| > lam}."""
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
-    return _components_above(np.abs(x.dense()), lam)
+    return components(np.abs(x.dense()) > lam)
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,7 @@ def slc(w: SymMatrix, tau: float) -> SymMatrix:
     |x| for magnitude-based linking.  The result is a binary ultrametric
     matrix with unit diagonal.
     """
-    return cluster_matrix(_components_above(w.dense(), tau))
+    return cluster_matrix(components(w.dense() > tau))
 
 
 def slt(x: SymMatrix, lam: float) -> SymMatrix:

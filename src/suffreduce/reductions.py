@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import Partition, slc, slt, slt_plus, threshold_components
+from .linkage import Partition, cluster_matrix, components, threshold_components
 from .orbit import MaskProjection
 from .penalty import GroupId, PenaltyKind, PenaltySpec
 from .symmat import SymMatrix
@@ -140,13 +140,9 @@ def reduce_input(penalty: PenaltySpec, group: GroupId, x) -> ReducedProblem:
                 idx = list(blk)
                 if np.linalg.norm(x[idx]) > lam[k]:
                     d[idx] = 1.0
-        elif penalty.kind is PenaltyKind.POSITIVE_CONE:
+        else:
             reduced = positive_part(x)
             d = (x > 0.0).astype(float)
-        else:
-            raise ValueError(
-                f"{penalty.kind.value} has no sign-flip reduction"
-            )
         mask = MaskProjection(group, vector=d)
         return ReducedProblem(reduced, mask, None)
 
@@ -154,31 +150,14 @@ def reduce_input(penalty: PenaltySpec, group: GroupId, x) -> ReducedProblem:
         raise ValueError(f"{penalty.kind.value} has no conjugation reduction")
     if not isinstance(x, SymMatrix):
         x = SymMatrix.from_dense(np.asarray(x, dtype=float))
+    # one screening pass: the partition gives the mask, the mask the reduced
+    # input (the same arithmetic as slt / slt_plus)
     if penalty.kind is PenaltyKind.SYMMETRIC_L1:
-        lam = _require_scalar(penalty)
-        reduced = slt(x, lam)
-        mask_matrix = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
-        partition = threshold_components(x, lam)
-    elif penalty.kind is PenaltyKind.OFFDIAG_POSITIVITY:
-        reduced = slt_plus(x)
-        mask_matrix = slc(x, 0.0)
-        partition = Partition.from_labels(
-            _labels_from_cluster_matrix(mask_matrix)
-        )
+        partition = threshold_components(x, _require_scalar(penalty))
     else:
-        raise ValueError(f"{penalty.kind.value} has no conjugation reduction")
-    mask = MaskProjection(group, matrix=mask_matrix)
-    return ReducedProblem(reduced, mask, partition)
-
-
-def _labels_from_cluster_matrix(b: SymMatrix) -> list[int]:
-    d = b.dense().astype(bool)
-    labels = [-1] * b.p
-    for i in range(b.p):
-        if labels[i] < 0:
-            for j in np.nonzero(d[i])[0]:
-                labels[j] = i
-    return labels
+        partition = components(x.dense() > 0.0)
+    mask = MaskProjection(group, matrix=cluster_matrix(partition))
+    return ReducedProblem(mask.apply(x), mask, partition)
 
 
 def decompose_blocks(x: SymMatrix, partition: Partition) -> list[tuple[tuple[int, ...], SymMatrix]]:

@@ -13,17 +13,9 @@ import numpy as np
 
 __all__ = [
     "SymMatrix",
-    "EigenDecomposition",
-    "JacobiConvergenceError",
     "uncentered_covariance",
-    "eigh",
-    "eigh_dense",
     "hadamard",
 ]
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the rotation sweeps exhaust their budget."""
 
 
 def _packed_size(p: int) -> int:
@@ -102,17 +94,6 @@ class SymMatrix:
         )
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in descending order with matching orthonormal columns."""
-
-    values: np.ndarray
-    basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.values) @ self.basis.T
-
-
 def uncentered_covariance(v) -> SymMatrix:
     """Second-moment matrix V^T V / n of an (n, p) observation array.
 
@@ -129,79 +110,6 @@ def uncentered_covariance(v) -> SymMatrix:
         raise ValueError("observations must be finite")
     g = a.T @ a / n
     return SymMatrix.wrap((g + g.T) / 2.0)
-
-
-def eigh_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigendecomposition of a dense symmetric array.
-
-    Returns (values, vectors) with values sorted descending.  This is the
-    fast path used inside solver loops; :func:`eigh` below is the
-    self-contained rotation method kept for the public contract.
-    """
-    w, q = np.linalg.eigh(a)
-    return w[::-1].copy(), np.ascontiguousarray(q[:, ::-1])
-
-
-def eigh(x: SymMatrix, sweep_budget: int = 100, rel_tol: float = 1e-14) -> EigenDecomposition:
-    """Cyclic Jacobi eigendecomposition of a SymMatrix.
-
-    Performs full sweeps of (i, j) plane rotations until the off-diagonal
-    Frobenius mass falls below ``rel_tol`` times the (rotation-invariant)
-    Frobenius norm of the input.  Raises JacobiConvergenceError if the sweep
-    budget is exhausted first.  Deterministic: identical input gives
-    identical output.
-    """
-    p = x.p
-    a = x.dense()
-    v = np.eye(p)
-    if p == 1:
-        return EigenDecomposition(a[0, :1].copy(), v)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return EigenDecomposition(np.zeros(p), v)
-    threshold = rel_tol * fro
-
-    def off_norm():
-        # summed directly over the strict triangle: the subtract-the-diagonal
-        # form cancels catastrophically once the mass is near roundoff
-        return float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-
-    converged = off_norm() <= threshold
-    for _ in range(sweep_budget):
-        if converged:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                apq = a[i, j]
-                if apq == 0.0:
-                    continue
-                tau = (a[j, j] - a[i, i]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ri, rj = a[i, :].copy(), a[j, :].copy()
-                a[i, :] = c * ri - s * rj
-                a[j, :] = s * ri + c * rj
-                ci, cj = a[:, i].copy(), a[:, j].copy()
-                a[:, i] = c * ci - s * cj
-                a[:, j] = s * ci + c * cj
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                vi, vj = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-        converged = off_norm() <= threshold
-    if not converged:
-        raise JacobiConvergenceError(
-            f"off-diagonal norm {off_norm():.3e} above {threshold:.3e} "
-            f"after {sweep_budget} sweeps"
-        )
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], np.ascontiguousarray(v[:, order]))
 
 
 def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:

@@ -27,6 +27,7 @@ from .estimators import (
 from .instances import lambda_grid, random_instance, sign_instance
 from .linkage import (
     Partition,
+    components,
     cut_dendrogram,
     is_binary_ultrametric,
     mst_kruskal,
@@ -90,25 +91,6 @@ def check_support_containment(theta, partition: Partition, tol: float = CONTAINM
     return [(int(i), int(j)) for i, j in bad if i < j]
 
 
-def _partition_of_mask(mask: MaskProjection) -> Partition | None:
-    if mask.matrix is None:
-        return None
-    d = mask.matrix.dense().astype(bool)
-    p = mask.matrix.p
-    labels = [-1] * p
-    for i in range(p):
-        if labels[i] < 0:
-            stack = [i]
-            labels[i] = i
-            while stack:
-                a = stack.pop()
-                for b in np.nonzero(d[a])[0]:
-                    if labels[b] < 0:
-                        labels[b] = i
-                        stack.append(int(b))
-    return Partition.from_labels(labels)
-
-
 def check_sufficiency(
     spec: EstimatorSpec,
     x,
@@ -130,7 +112,7 @@ def check_sufficiency(
     else:
         mask = mask_override
         reduced = mask.apply(x if mask.vector is None else np.asarray(x, dtype=float))
-        partition = _partition_of_mask(mask)
+        partition = None if mask.matrix is None else components(mask.matrix.dense())
     conditions = check_projection_conditions(mask, x, red_penalty, group)
 
     rep_full = solve(spec, x)
@@ -308,7 +290,8 @@ def _suite_sufficiency(summary: SuiteSummary, rng, sizes, families):
         lam_mid = float(np.quantile(np.abs(x.dense()[~np.eye(p, dtype=bool)]), 0.5))
         if not families or "glasso" in families:
             rep = solve(EstimatorSpec(Family.GLASSO, _sym_l1(lam_mid), opts=SolverOptions(tol=1e-8)), x)
-            got = _support_partition(rep.theta)
+            td = rep.theta.dense()
+            got = components(np.abs(td) > 1e-8 * float(np.max(np.abs(td))))
             want = threshold_components(x, lam_mid)
             summary.record(
                 "exact_screening", {"p": p, "lam": lam_mid}, got == want,
@@ -341,13 +324,6 @@ def _suite_sufficiency(summary: SuiteSummary, rng, sizes, families):
         summary.record("vector_chains", {"n": 50, "lam": lamv}, ok, 0.0 if ok else 1.0)
 
 
-def _support_partition(theta: SymMatrix) -> Partition:
-    td = theta.dense()
-    cutoff = 1e-8 * float(np.max(np.abs(td)))
-    keep = np.abs(td) > cutoff
-    return threshold_components(SymMatrix.wrap(keep.astype(float)), 0.5)
-
-
 def _corrupt_mask(x: SymMatrix, lam: float) -> MaskProjection | None:
     mask = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
     d = mask.dense()
@@ -368,7 +344,7 @@ def _suite_clustering(summary: SuiteSummary, rng, sizes):
             a = threshold_components(x, lam)
             b = cut_dendrogram(mst_kruskal(x), lam)
             mask = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
-            c = _partition_of_mask(MaskProjection(GroupId.DIAGONAL_CONJUGATION, matrix=mask))
+            c = components(mask.dense())
             ok = a == b == c
             summary.record("clustering_routes", {"p": p, "lam": lam}, ok, 0.0 if ok else 1.0)
             ok_ultra = is_binary_ultrametric(mask)

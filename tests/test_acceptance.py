@@ -26,6 +26,7 @@ from suffreduce.estimators import (
 from suffreduce.instances import lambda_grid, sign_instance, two_community
 from suffreduce.linkage import (
     Partition,
+    components,
     is_binary_ultrametric,
     slc,
     slt,
@@ -47,10 +48,7 @@ OPTS = SolverOptions(tol=1e-8)
 
 def support_partition(theta: SymMatrix) -> Partition:
     td = theta.dense()
-    cutoff = 1e-8 * float(np.max(np.abs(td)))
-    keep = (np.abs(td) > cutoff).astype(float)
-    np.fill_diagonal(keep, 1.0)
-    return threshold_components(SymMatrix.wrap(keep), 0.5)
+    return components(np.abs(td) > 1e-8 * float(np.max(np.abs(td))))
 
 
 def report(n, name, start, detail):

@@ -156,6 +156,13 @@ class TestSolve:
         assert main(["solve", str(src), "--estimator", "glasso", "--lam", "0.2",
                      "--max-iter", "2", "-o", str(tmp_path / "e.csv")]) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iter", "0"), ("--tol", "-1"), ("--tol", "0"),
+    ])
+    def test_invalid_solver_options_are_usage_errors(self, tmp_path, matrix3, flag, value):
+        assert main(["solve", matrix3, "--estimator", "glasso", "--lam", "0.3",
+                     flag, value, "-o", str(tmp_path / "e.csv")]) == 2
+
     def test_unknown_estimator(self, tmp_path, matrix3, capsys):
         assert main(["solve", matrix3, "--estimator", "magic",
                      "-o", str(tmp_path / "e.csv")]) == 2

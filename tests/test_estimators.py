@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from suffreduce.estimators import (
     sparse_cov,
 )
 from suffreduce.instances import random_instance, sign_instance
-from suffreduce.linkage import threshold_components
+from suffreduce.linkage import components, threshold_components
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
 from suffreduce.symmat import SymMatrix
 
@@ -40,6 +41,53 @@ def sym(rows):
 def certificate_ok(spec, x, report, factor=10.0):
     scale = 1.0 + float(np.max(np.abs(x.dense() if isinstance(x, SymMatrix) else x)))
     return kkt_residual(spec, x, report.theta) <= factor * spec.opts.tol * scale
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value, need", [
+        ("tol", 0.0, "tol > 0"), ("tol", -1.0, "tol > 0"), ("tol", float("nan"), "tol > 0"),
+        ("max_iter", 0, "max_iter >= 1"), ("check_every", 0, "check_every >= 1"),
+        ("rho", 0.0, "rho > 0"), ("rho", -1.0, "rho > 0"),
+        ("over_relax", 0.0, "0 < over_relax < 2"), ("over_relax", 2.0, "0 < over_relax < 2"),
+    ])
+    def test_invalid_field_rejected(self, field, value, need):
+        with pytest.raises(ValueError, match=f"need {re.escape(need)}$"):
+            SolverOptions(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        SolverOptions(tol=1e-300, max_iter=1, check_every=1, rho=1e-9, over_relax=1.999)
+
+
+class TestNonFiniteNeverCertifies:
+    def test_glasso(self):
+        x = sym([[1.0, 0.5], [0.5, 1.0]])
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1))
+        assert kkt_residual(spec, x, np.full((2, 2), np.nan)) == np.inf
+        assert kkt_residual(spec, x, np.array([[1.0, np.inf], [np.inf, 1.0]])) == np.inf
+
+    def test_ising(self):
+        x = sign_instance(np.random.default_rng(0), 3)
+        theta = np.full((3, 3), np.nan)
+        np.fill_diagonal(theta, 0.0)
+        spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1))
+        assert kkt_residual(spec, x, theta) == np.inf
+
+    def test_admm_driver_rejects_nan_iterates(self):
+        # a prox map gone NaN must end in ConvergenceError, not a certified NaN
+        from suffreduce.estimators import _admm, _glasso_kkt
+
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        lam_mat = np.array([[0.0, 0.1], [0.1, 0.0]])
+        with pytest.raises(ConvergenceError):
+            _admm(
+                "glasso",
+                lambda v, rho: np.full_like(v, np.nan),
+                lambda a, rho: a,
+                np.eye(2),
+                lambda theta, z: (_glasso_kkt(s, lam_mat, z), z),
+                SolverOptions(max_iter=50),
+                1e-9,
+            )
 
 
 class TestClosedForms:
@@ -104,8 +152,7 @@ class TestGlasso:
         for lam in (0.2, 0.4, 0.7):
             rep = glasso(x, lam, OPTS)
             td = rep.theta.dense()
-            keep = (np.abs(td) > 1e-8 * np.abs(td).max()).astype(float)
-            got = threshold_components(SymMatrix.wrap(keep), 0.5)
+            got = components(np.abs(td) > 1e-8 * np.abs(td).max())
             assert got == threshold_components(x, lam)
 
     def test_nonconvergence_raises(self, rng):

@@ -8,6 +8,7 @@ from suffreduce.linkage import (
     Dendrogram,
     Partition,
     cluster_matrix,
+    components,
     cut_dendrogram,
     is_binary_ultrametric,
     mst_kruskal,
@@ -86,6 +87,18 @@ class TestThresholdComponents:
     def test_sign_irrelevant(self):
         x = sym([[1.0, -0.8], [-0.8, 1.0]])
         assert threshold_components(x, 0.5).blocks == ((0, 1),)
+
+
+class TestComponents:
+    def test_non_transitive_mask_is_one_block(self):
+        # path 0-1-2 with the (0, 2) entry zero: connectivity, not closure
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        assert components(mask).blocks == ((0, 1, 2),)
+        assert components(mask.astype(bool)).blocks == ((0, 1, 2),)
+
+    def test_diagonal_ignored(self):
+        assert components(np.eye(3)).blocks == ((0,), (1,), (2,))
+        assert components(np.zeros((2, 2))).blocks == ((0,), (1,))
 
 
 class TestDendrogram:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from suffreduce.estimators import lasso, nnls
-from suffreduce.linkage import Partition
+from suffreduce.linkage import Partition, components, slc, slt, slt_plus, threshold_components
 from suffreduce.orbit import check_projection_conditions
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
 from suffreduce.reductions import (
@@ -124,6 +124,45 @@ class TestReduceInput:
         )
         assert np.array_equal(rp.reduced.dense(), np.diag([2.0, 3.0]))
         assert np.array_equal(rp.mask.matrix.dense(), np.eye(2))
+
+    def test_offdiag_positivity_positive_edges(self):
+        # positive edges 0-1 and 1-2 link {0, 1, 2}; the negative 0-2 entry
+        # survives inside that block, the negative 1-3 entry does not
+        x = SymMatrix.from_dense(np.array([
+            [2.0, 0.5, -0.3, 0.0],
+            [0.5, 2.0, 0.2, -0.4],
+            [-0.3, 0.2, 2.0, 0.0],
+            [0.0, -0.4, 0.0, 2.0],
+        ]))
+        rp = reduce_input(
+            PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), GroupId.DIAGONAL_CONJUGATION, x
+        )
+        assert rp.partition.blocks == ((0, 1, 2), (3,))
+        assert np.array_equal(rp.reduced.upper, slt_plus(x).upper)
+        assert np.array_equal(rp.mask.matrix.upper, slc(x, 0.0).upper)
+        assert rp.partition == components(x.dense() > 0)
+        assert rp.reduced.entry(0, 2) == -0.3 and rp.reduced.entry(1, 3) == 0.0
+
+    def test_one_pass_matches_linkage_operators(self, rng):
+        from suffreduce.instances import random_instance
+
+        for _ in range(10):
+            x = random_instance(rng, int(rng.integers(2, 12)), cross=0.1)
+            lam = float(rng.uniform(0, 1.0))
+            rp = reduce_input(
+                PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam), GroupId.DIAGONAL_CONJUGATION, x
+            )
+            assert np.array_equal(rp.reduced.upper, slt(x, lam).upper)
+            assert np.array_equal(
+                rp.mask.matrix.upper, slc(SymMatrix(x.p, np.abs(x.upper)), lam).upper
+            )
+            assert rp.partition == threshold_components(x, lam)
+            rp = reduce_input(
+                PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), GroupId.DIAGONAL_CONJUGATION, x
+            )
+            assert np.array_equal(rp.reduced.upper, slt_plus(x).upper)
+            assert np.array_equal(rp.mask.matrix.upper, slc(x, 0.0).upper)
+            assert rp.partition == components(x.dense() > 0)
 
     def test_unsupported_pair(self):
         with pytest.raises(ValueError):

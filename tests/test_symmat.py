@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from suffreduce.symmat import (
-    JacobiConvergenceError,
-    SymMatrix,
-    eigh,
-    eigh_dense,
-    hadamard,
-    uncentered_covariance,
-)
+from suffreduce.symmat import SymMatrix, hadamard, uncentered_covariance
 
 
 def random_symmetric(rng, p, scale=1.0):
@@ -88,57 +79,6 @@ class TestCovariance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             uncentered_covariance(np.zeros((0, 3)))
-
-
-class TestJacobiEigh:
-    def test_2x2_closed_form(self):
-        # [[2,1],[1,2]] has eigenpairs 3 -> (1,1)/sqrt2 and 1 -> (1,-1)/sqrt2
-        m = SymMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        dec = eigh(m)
-        assert np.allclose(dec.values, [3.0, 1.0], atol=1e-13)
-        assert abs(abs(dec.basis[0, 0]) - 1 / np.sqrt(2)) < 1e-13
-
-    def test_diagonal_input(self):
-        m = SymMatrix.from_dense(np.diag([5.0, -2.0, 7.0]))
-        dec = eigh(m)
-        assert np.allclose(dec.values, [7.0, 5.0, -2.0], atol=0)
-
-    def test_matches_lapack(self, rng):
-        for p in (2, 3, 5, 9, 16):
-            a = random_symmetric(rng, p, scale=3.0)
-            dec = eigh(SymMatrix.from_dense(a))
-            ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.allclose(dec.values, ref, atol=1e-11 * (1 + np.abs(a).max()))
-
-    def test_reconstruct_and_orthogonality(self, rng):
-        a = random_symmetric(rng, 8)
-        dec = eigh(SymMatrix.from_dense(a))
-        assert np.allclose(dec.reconstruct(), a, atol=1e-12)
-        assert np.allclose(dec.basis.T @ dec.basis, np.eye(8), atol=1e-13)
-
-    def test_descending_order(self, rng):
-        dec = eigh(SymMatrix.from_dense(random_symmetric(rng, 10)))
-        assert np.all(np.diff(dec.values) <= 0)
-
-    def test_budget_exhaustion_raises(self):
-        m = SymMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(JacobiConvergenceError):
-            eigh(m, sweep_budget=0)
-
-    def test_eigh_dense_agrees(self, rng):
-        a = random_symmetric(rng, 6)
-        w, q = eigh_dense(a)
-        ref = eigh(SymMatrix.from_dense(a))
-        assert np.allclose(w, ref.values, atol=1e-11)
-        assert np.allclose((q * w) @ q.T, a, atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31))
-    def test_trace_and_frobenius_preserved(self, p, seed):
-        a = random_symmetric(np.random.default_rng(seed), p)
-        dec = eigh(SymMatrix.from_dense(a))
-        assert np.trace(a) == pytest.approx(np.sum(dec.values), abs=1e-11 * (1 + p))
-        assert np.sum(a * a) == pytest.approx(np.sum(dec.values**2), rel=1e-10, abs=1e-11)
 
 
 def test_hadamard():
