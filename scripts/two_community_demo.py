@@ -41,7 +41,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     x = two_community(args.p, within=args.within, cross=args.cross)
-    w = SymMatrix(x.p, np.abs(x.upper))
+    w = SymMatrix.wrap(np.abs(x.dense()))
 
     dend = mst_kruskal(w)
     linkage_blocks = cut_dendrogram(dend, args.lam)

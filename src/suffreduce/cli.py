@@ -168,8 +168,7 @@ def _cmd_solve(args) -> int:
     else:
         report = solve(spec, x)
     elapsed = time.perf_counter() - start
-    theta = report.theta.dense() if isinstance(report.theta, SymMatrix) else report.theta
-    write_matrix_csv(args.output, theta)
+    write_matrix_csv(args.output, report.theta)
     if args.report is not None:
         payload = {
             "estimator": args.estimator,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .penalty import GroupId, PenaltyKind, PenaltySpec
 from .reductions import ReducedProblem, decompose_blocks, reassemble_blocks, reduce_input
-from .symmat import SymMatrix
+from .symmat import SymMatrix, as_symmetric
 
 __all__ = [
     "Family",
@@ -211,6 +211,12 @@ def _admm(name, prox_f, prox_g, z0, certify, opts: SolverOptions, tol: float):
     )
 
 
+def _require_certified(name, resid, tol):
+    """A closed-form point certifies like an ADMM one: raise unless resid <= tol."""
+    if not resid <= tol:
+        raise ConvergenceError(f"{name}: KKT residual {resid:.3e} above tol {tol:.3e}")
+
+
 def _logdet_prox(s):
     """prox_f for f(theta) = -log det(theta) + <s, theta>: one
     eigendecomposition, eigenvalues mapped to the positive root."""
@@ -306,15 +312,15 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
             "unpenalized diagonal requires strictly positive input diagonal"
         )
     if not lam_mat.any():
-        w = np.linalg.eigvalsh(s)
-        if w[0] <= 1e-12:
-            raise NoSolutionError(
-                f"lam=0 needs a positive definite input (min eig {w[0]:.3e})"
-            )
         wv, q = np.linalg.eigh(s)
+        if wv[0] <= 1e-12:
+            raise NoSolutionError(
+                f"lam=0 needs a positive definite input (min eig {wv[0]:.3e})"
+            )
         theta = (q / wv) @ q.T
         theta = (theta + theta.T) / 2.0
         kkt = _glasso_kkt(s, lam_mat, theta)
+        _require_certified("glasso", kkt, opts.tol * _scale(s))
         return _report_matrix(theta, _glasso_objective(s, lam_mat, theta),
                               kkt, 0, True)
 
@@ -499,9 +505,9 @@ def sparse_cov(x: SymMatrix, lam: float, eps: float, opts: SolverOptions | None 
 
     Minimizes 0.5 ||x - theta||_F^2 + lam ||theta||_1 over theta >= eps I.
     When the plain soft threshold already clears the floor it is returned
-    exactly; otherwise ADMM alternates the floored quadratic step with the
-    soft threshold and reports the floored iterate (feasible by
-    construction).
+    exactly, or ConvergenceError raised if its KKT residual misses tol;
+    otherwise ADMM alternates the floored quadratic step with the soft
+    threshold and reports the floored iterate (feasible by construction).
     """
     opts = opts or SolverOptions()
     if lam < 0:
@@ -512,6 +518,7 @@ def sparse_cov(x: SymMatrix, lam: float, eps: float, opts: SolverOptions | None 
     direct = _soft(s, lam)
     if np.linalg.eigvalsh(direct)[0] >= eps:
         kkt = _sparse_cov_kkt(s, lam, eps, direct)
+        _require_certified("sparse_cov", kkt, opts.tol * _scale(s))
         return _report_matrix(direct, _sparse_cov_objective(s, lam, direct), kkt, 0, True)
 
     theta, kkt, it = _admm(
@@ -609,7 +616,6 @@ def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
     logz = emax + float(np.log(np.sum(np.exp(energy - emax))))
     weights = np.exp(energy - logz)
     moment = (states * weights[:, None]).T @ states
-    moment = (moment + moment.T) / 2.0
     np.fill_diagonal(moment, 1.0)
     return logz, SymMatrix.wrap(moment)
 
@@ -691,10 +697,6 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
 # dispatch, objectives, certificates
 # =====================================================================
 
-def _as_symmetric(x) -> SymMatrix:
-    return x if isinstance(x, SymMatrix) else SymMatrix.from_dense(np.asarray(x, dtype=float))
-
-
 def _expect_kind(spec: EstimatorSpec, kind: PenaltyKind):
     if spec.penalty.kind is not kind:
         raise ValueError(
@@ -716,7 +718,7 @@ def solve(spec: EstimatorSpec, x) -> SolveReport:
         xv = np.asarray(x, dtype=float)
         theta = nnls(xv)
         return _vector_report(spec, xv, theta)
-    xm = _as_symmetric(x)
+    xm = as_symmetric(x)
     if fam is Family.GLASSO:
         _expect_kind(spec, PenaltyKind.SYMMETRIC_L1)
         return glasso(xm, spec.penalty.weights, spec.opts, spec.penalize_diagonal)
@@ -754,18 +756,17 @@ def _vector_report(spec, x, theta) -> SolveReport:
 def objective_at(spec: EstimatorSpec, x, theta) -> float:
     """Evaluate the family objective at an arbitrary point."""
     fam = spec.family
+    td = np.asarray(theta, dtype=float)
     if fam in (Family.LASSO, Family.NNLS):
         xv = np.asarray(x, dtype=float)
-        tv = np.asarray(theta, dtype=float)
-        base = 0.5 * float(np.sum((xv - tv) ** 2))
+        base = 0.5 * float(np.sum((xv - td) ** 2))
         if fam is Family.LASSO:
             lam = np.broadcast_to(np.asarray(spec.penalty.weights, dtype=float), xv.shape)
-            return base + float(np.sum(lam * np.abs(tv)))
-        if np.any(tv < 0):
+            return base + float(np.sum(lam * np.abs(td)))
+        if np.any(td < 0):
             return np.inf
         return base
-    s = _as_symmetric(x).dense()
-    td = theta.dense() if isinstance(theta, SymMatrix) else np.asarray(theta, dtype=float)
+    s = as_symmetric(x).dense()
     if fam is Family.GLASSO:
         lam_mat = _lambda_matrix(spec.penalty.weights, s.shape[0], spec.penalize_diagonal)
         return _glasso_objective(s, lam_mat, td)
@@ -786,29 +787,27 @@ def objective_at(spec: EstimatorSpec, x, theta) -> float:
 def kkt_residual(spec: EstimatorSpec, x, theta) -> float:
     """Independent first-order certificate at theta (0 = exact optimum)."""
     fam = spec.family
+    td = np.asarray(theta, dtype=float)
     if fam is Family.LASSO:
         xv = np.asarray(x, dtype=float)
-        tv = np.asarray(theta, dtype=float)
         lam = np.broadcast_to(np.asarray(spec.penalty.weights, dtype=float), xv.shape)
-        on = tv != 0.0
+        on = td != 0.0
         worst = 0.0
         if on.any():
-            worst = float(np.max(np.abs((tv - xv + lam * np.sign(tv))[on])))
+            worst = float(np.max(np.abs((td - xv + lam * np.sign(td))[on])))
         if (~on).any():
             worst = max(worst, float(np.max(np.maximum(np.abs(xv[~on]) - lam[~on], 0.0))))
         return worst
     if fam is Family.NNLS:
         xv = np.asarray(x, dtype=float)
-        tv = np.asarray(theta, dtype=float)
-        on = tv != 0.0
+        on = td != 0.0
         worst = 0.0
         if on.any():
-            worst = float(np.max(np.abs((tv - xv)[on])))
+            worst = float(np.max(np.abs((td - xv)[on])))
         if (~on).any():
             worst = max(worst, float(np.max(np.maximum(xv[~on], 0.0))))
         return worst
-    s = _as_symmetric(x).dense()
-    td = theta.dense() if isinstance(theta, SymMatrix) else np.asarray(theta, dtype=float)
+    s = as_symmetric(x).dense()
     if fam is Family.GLASSO:
         lam_mat = _lambda_matrix(spec.penalty.weights, s.shape[0], spec.penalize_diagonal)
         return _glasso_kkt(s, lam_mat, td)
@@ -862,7 +861,7 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     """
     if spec.family not in MATRIX_FAMILIES:
         raise ValueError("block decomposition applies to matrix families only")
-    xm = _as_symmetric(x)
+    xm = as_symmetric(x)
     red_penalty, group = reduction_for(spec)
     rp: ReducedProblem = reduce_input(red_penalty, group, xm)
 

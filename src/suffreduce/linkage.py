@@ -220,9 +220,7 @@ def slc(w: SymMatrix, tau: float) -> SymMatrix:
 
 def slt(x: SymMatrix, lam: float) -> SymMatrix:
     """Mask x with its own magnitude-linkage clusters: slc(|x|, lam) o x."""
-    if lam < 0:
-        raise ValueError(f"threshold must be >= 0, got {lam}")
-    return hadamard(slc(SymMatrix(x.p, np.abs(x.upper)), lam), x)
+    return hadamard(cluster_matrix(threshold_components(x, lam)), x)
 
 
 def slt_plus(x: SymMatrix) -> SymMatrix:

@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from .linkage import is_binary_ultrametric
 from .penalty import GroupId, PenaltyKind, PenaltySpec, GROUP_INVARIANT_KINDS
-from .symmat import SymMatrix, hadamard
+from .symmat import SymMatrix, as_symmetric, hadamard
 
 __all__ = [
     "MaskProjection",
@@ -55,13 +55,13 @@ class MaskProjection:
                 raise ValueError("sign-flip masks are binary vectors")
             self.vector.flags.writeable = False
         else:
-            if self.matrix is None or not _is_binary(self.matrix.upper):
+            if self.matrix is None or not _is_binary(np.asarray(self.matrix)):
                 raise ValueError("conjugation masks are binary symmetric matrices")
 
     def apply(self, x):
         if self.vector is not None:
             return self.vector * np.asarray(x, dtype=float)
-        return hadamard(self.matrix, x)
+        return hadamard(self.matrix, as_symmetric(x))
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def arcsin_map(s: SymMatrix) -> SymMatrix:
         raise ValueError(f"input not positive semidefinite (min eig {w[0]:.3e})")
     out = (2.0 / np.pi) * np.arcsin(np.clip(d, -1.0, 1.0))
     np.fill_diagonal(out, 1.0)
-    return SymMatrix.wrap((out + out.T) / 2.0)
+    return SymMatrix.wrap(out)
 
 
 def check_projection_conditions(
@@ -261,8 +261,7 @@ def _check_vector_conditions(mask, x, penalty) -> ConditionReport:
 
 def _check_symmetric_conditions(mask, x, penalty) -> ConditionReport:
     b = mask.matrix
-    if not isinstance(x, SymMatrix):
-        x = SymMatrix.from_dense(np.asarray(x, dtype=float))
+    x = as_symmetric(x)
     if b.p != x.p:
         raise ValueError("mask/input dimension mismatch")
     bd = b.dense()

@@ -15,7 +15,7 @@ import numpy as np
 from .linkage import Partition, cluster_matrix, components, threshold_components
 from .orbit import MaskProjection
 from .penalty import GroupId, PenaltyKind, PenaltySpec
-from .symmat import SymMatrix
+from .symmat import SymMatrix, as_symmetric
 
 __all__ = [
     "PenaltyKind",
@@ -148,8 +148,7 @@ def reduce_input(penalty: PenaltySpec, group: GroupId, x) -> ReducedProblem:
 
     if penalty.kind not in (PenaltyKind.SYMMETRIC_L1, PenaltyKind.OFFDIAG_POSITIVITY):
         raise ValueError(f"{penalty.kind.value} has no conjugation reduction")
-    if not isinstance(x, SymMatrix):
-        x = SymMatrix.from_dense(np.asarray(x, dtype=float))
+    x = as_symmetric(x)
     # one screening pass: the partition gives the mask, the mask the reduced
     # input (the same arithmetic as slt / slt_plus)
     if penalty.kind is PenaltyKind.SYMMETRIC_L1:
@@ -182,10 +181,10 @@ def reassemble_blocks(p: int, pieces) -> SymMatrix:
         if seen & set(blk):
             raise ValueError("blocks overlap")
         seen.update(blk)
-        sd = sub.dense() if isinstance(sub, SymMatrix) else np.asarray(sub, dtype=float)
+        sd = np.asarray(sub, dtype=float)
         if sd.shape != (len(blk), len(blk)):
             raise ValueError("block size mismatch")
         out[np.ix_(idx, idx)] = sd
     if seen != set(range(p)):
         raise ValueError("blocks must cover 0..p-1")
-    return SymMatrix.wrap((out + out.T) / 2.0)
+    return SymMatrix.wrap(out)

@@ -1,8 +1,9 @@
 """Symmetric matrix container and dense linear-algebra primitives.
 
 The rest of the package passes symmetric matrices around as :class:`SymMatrix`
-values.  Symmetry is enforced once at construction (packed upper-triangle
-storage), so downstream code never has to re-check or re-symmetrize.
+values.  Symmetry is enforced once, where a matrix is wrapped: the stored
+array is ``(a + a^T) / 2`` and read-only, so downstream code never has to
+re-check or re-symmetrize.
 """
 
 from __future__ import annotations
@@ -13,33 +14,29 @@ import numpy as np
 
 __all__ = [
     "SymMatrix",
+    "as_symmetric",
     "uncentered_covariance",
     "hadamard",
 ]
 
 
-def _packed_size(p: int) -> int:
-    return p * (p + 1) // 2
-
-
 @dataclass(frozen=True)
 class SymMatrix:
-    """Immutable symmetric matrix with packed upper-triangle storage.
+    """Immutable symmetric matrix holding one read-only (p, p) array.
 
-    Construct via :meth:`from_dense`; the packed layout guarantees the two
-    mirror entries of every pair are one stored value, so symmetry cannot
-    drift through arithmetic.
+    Construct via :meth:`from_dense` (checked input) or :meth:`wrap`; both
+    store the average of the array and its transpose, so the two mirror
+    entries of every pair are the same bits.  ``np.asarray(m)`` reads the
+    stored array without a copy; :meth:`dense` returns a writable copy.
     """
 
-    p: int
-    upper: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.p}")
-        if self.upper.shape != (_packed_size(self.p),):
-            raise ValueError("packed storage has wrong length")
-        self.upper.flags.writeable = False
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise ValueError(f"expected a nonempty square matrix, got shape {shape}")
+        self.values.flags.writeable = False
 
     @classmethod
     def from_dense(cls, values, asym_tol: float = 1e-8) -> "SymMatrix":
@@ -49,49 +46,50 @@ class SymMatrix:
         entries, or has max |A - A^T| exceeding ``asym_tol``.
         """
         a = np.asarray(values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        m = cls.wrap(a)  # rejects a non-square or empty a first
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        gap = float(np.max(np.abs(a - a.T))) if a.shape[0] > 1 else 0.0
+        gap = float(np.max(np.abs(a - a.T)))
         if gap > asym_tol:
             raise ValueError(
                 f"asymmetry {gap:.3e} exceeds tolerance {asym_tol:.3e}"
             )
-        sym = (a + a.T) / 2.0
-        i, j = np.triu_indices(a.shape[0])
-        return cls(a.shape[0], sym[i, j].copy())
+        return m
 
     @classmethod
-    def wrap(cls, a: np.ndarray) -> "SymMatrix":
-        """Pack an array that is symmetric by construction (no checks)."""
-        i, j = np.triu_indices(a.shape[0])
-        return cls(a.shape[0], np.ascontiguousarray(a, dtype=float)[i, j].copy())
+    def wrap(cls, a) -> "SymMatrix":
+        """Store (a + a^T) / 2.  Only the shape is checked, before the sum (a
+        (1, p) row would broadcast); an exactly symmetric a keeps its bits."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        return cls((a + a.T) / 2.0)
 
     def dense(self) -> np.ndarray:
-        """Return a fresh (p, p) ndarray; mirror entries are identical bits."""
-        out = np.empty((self.p, self.p))
-        i, j = np.triu_indices(self.p)
-        out[i, j] = self.upper
-        out[j, i] = self.upper
-        return out
+        """Return a fresh, writable (p, p) copy."""
+        return self.values.copy()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def entry(self, i: int, j: int) -> float:
         if not (0 <= i < self.p and 0 <= j < self.p):
             raise IndexError(f"index ({i}, {j}) out of range for p={self.p}")
-        if i > j:
-            i, j = j, i
-        # row-major offset into the packed upper triangle
-        return float(self.upper[i * self.p - i * (i - 1) // 2 + (j - i)])
+        return float(self.values[i, j])
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.p, self.p)
+    def p(self) -> int:
+        return self.values.shape[0]
 
     def allclose(self, other: "SymMatrix", tol: float = 1e-12) -> bool:
         return self.p == other.p and bool(
-            np.max(np.abs(self.upper - other.upper)) <= tol
+            np.max(np.abs(self.values - other.values)) <= tol
         )
+
+
+def as_symmetric(x) -> SymMatrix:
+    """x itself if it is a SymMatrix, else :meth:`SymMatrix.from_dense` of x."""
+    return x if isinstance(x, SymMatrix) else SymMatrix.from_dense(x)
 
 
 def uncentered_covariance(v) -> SymMatrix:
@@ -108,12 +106,11 @@ def uncentered_covariance(v) -> SymMatrix:
         raise ValueError(f"need at least one row and one column, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("observations must be finite")
-    g = a.T @ a / n
-    return SymMatrix.wrap((g + g.T) / 2.0)
+    return SymMatrix.wrap(a.T @ a / n)
 
 
 def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    """Entrywise product; symmetric-by-construction on packed storage."""
+    """Entrywise product; the product of two symmetric arrays is symmetric."""
     if a.p != b.p:
         raise ValueError(f"dimension mismatch: {a.p} vs {b.p}")
-    return SymMatrix(a.p, a.upper * b.upper)
+    return SymMatrix(a.values * b.values)

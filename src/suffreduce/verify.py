@@ -19,7 +19,6 @@ from .estimators import (
     EstimatorSpec,
     Family,
     SolverOptions,
-    kkt_residual,
     objective_at,
     reduction_for,
     solve,
@@ -83,7 +82,7 @@ class SufficiencyReport:
 
 def check_support_containment(theta, partition: Partition, tol: float = CONTAINMENT_REL_TOL):
     """Off-block entries of theta larger than tol * max|theta|."""
-    td = theta.dense() if isinstance(theta, SymMatrix) else np.asarray(theta, dtype=float)
+    td = np.asarray(theta, dtype=float)
     lab = np.asarray(partition.labels)
     cross = lab[:, None] != lab[None, :]
     cutoff = tol * float(np.max(np.abs(td)))
@@ -111,18 +110,14 @@ def check_sufficiency(
         mask, reduced, partition = rp.mask, rp.reduced, rp.partition
     else:
         mask = mask_override
-        reduced = mask.apply(x if mask.vector is None else np.asarray(x, dtype=float))
+        reduced = mask.apply(x)
         partition = None if mask.matrix is None else components(mask.matrix.dense())
     conditions = check_projection_conditions(mask, x, red_penalty, group)
 
     rep_full = solve(spec, x)
     rep_reduced = solve(spec, reduced)
-    full = rep_full.theta.dense() if isinstance(rep_full.theta, SymMatrix) else rep_full.theta
-    red = (
-        rep_reduced.theta.dense()
-        if isinstance(rep_reduced.theta, SymMatrix)
-        else rep_reduced.theta
-    )
+    full = np.asarray(rep_full.theta, dtype=float)
+    red = np.asarray(rep_reduced.theta, dtype=float)
     deviation = float(np.max(np.abs(full - red)))
     gap = abs(objective_at(spec, x, rep_reduced.theta) - objective_at(spec, x, rep_full.theta))
 
@@ -138,7 +133,7 @@ def check_sufficiency(
     if spec.family in STRICT_FAMILIES:
         passed = conditions.all_hold and deviation <= tol and not violations
     else:
-        scale = 1.0 + float(np.max(np.abs(_dense_of(x))))
+        scale = 1.0 + float(np.max(np.abs(np.asarray(x, dtype=float))))
         passed = conditions.all_hold and not violations and gap <= tol * scale
     return SufficiencyReport(
         spec.family.value,
@@ -150,12 +145,6 @@ def check_sufficiency(
         conditions.dual_invariance,
         passed,
     )
-
-
-def _dense_of(x) -> np.ndarray:
-    if isinstance(x, SymMatrix):
-        return x.dense()
-    return np.asarray(x, dtype=float)
 
 
 def enumerate_feasible_ultrametrics(x: SymMatrix, lam: float) -> list[SymMatrix]:
@@ -183,7 +172,7 @@ def enumerate_feasible_ultrametrics(x: SymMatrix, lam: float) -> list[SymMatrix]
 def check_minimality_slc(x: SymMatrix, lam: float) -> bool:
     """Does the linkage mask have strictly the fewest kept entries among all
     feasible ultrametric masks?"""
-    mask = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
+    mask = slc(SymMatrix.wrap(np.abs(x.dense())), lam)
     feasible = enumerate_feasible_ultrametrics(x, lam)
     sums = [float(np.sum(b.dense())) for b in feasible]
     mask_sum = float(np.sum(mask.dense()))
@@ -325,7 +314,7 @@ def _suite_sufficiency(summary: SuiteSummary, rng, sizes, families):
 
 
 def _corrupt_mask(x: SymMatrix, lam: float) -> MaskProjection | None:
-    mask = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
+    mask = slc(SymMatrix.wrap(np.abs(x.dense())), lam)
     d = mask.dense()
     xd = np.abs(x.dense())
     required = np.argwhere(np.triu(xd > lam, k=1) & (d > 0))
@@ -343,7 +332,7 @@ def _suite_clustering(summary: SuiteSummary, rng, sizes):
             lam = float(lam)
             a = threshold_components(x, lam)
             b = cut_dendrogram(mst_kruskal(x), lam)
-            mask = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
+            mask = slc(SymMatrix.wrap(np.abs(x.dense())), lam)
             c = components(mask.dense())
             ok = a == b == c
             summary.record("clustering_routes", {"p": p, "lam": lam}, ok, 0.0 if ok else 1.0)
@@ -377,7 +366,7 @@ def _suite_orbitope(summary: SuiteSummary, rng, sizes):
             ok = cut_membership(mapped, tol=1e-8)
             summary.record("arcsin_in_cut", {"p": p}, ok, 0.0 if ok else 1.0)
             lam = float(np.quantile(np.abs(d[~np.eye(p, dtype=bool)]), 0.5))
-            mask = slc(SymMatrix(x.p, np.abs(x.upper)), lam)
+            mask = slc(SymMatrix.wrap(np.abs(x.dense())), lam)
             ok2 = conj_majorizes(x, hadamard(mask, x))
             summary.record("mask_majorizes", {"p": p, "lam": lam}, ok2, 0.0 if ok2 else 1.0)
 

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from suffreduce.cli import main as cli_main
 from suffreduce.estimators import (
@@ -268,7 +267,7 @@ def test_criterion_10_two_community_structure_agreement():
     lam = 0.3
     planted = Partition.from_blocks([tuple(range(20)), tuple(range(20, 40))], 40)
 
-    w = SymMatrix(x.p, np.abs(x.upper))
+    w = SymMatrix.wrap(np.abs(x.dense()))
     mask_part = threshold_components(x, lam)
     assert mask_part == planted
     assert np.array_equal(

@@ -156,6 +156,14 @@ class TestSolve:
         assert main(["solve", str(src), "--estimator", "glasso", "--lam", "0.2",
                      "--max-iter", "2", "-o", str(tmp_path / "e.csv")]) == 3
 
+    def test_uncertified_closed_form_exit_code(self, tmp_path, ill_conditioned):
+        src = tmp_path / "ill.csv"
+        write_matrix_csv(src, ill_conditioned)
+        args = ["solve", str(src), "--estimator", "glasso", "--lam", "0",
+                "-o", str(tmp_path / "e.csv")]
+        assert main(args + ["--tol", "1e-9"]) == 3
+        assert main(args + ["--tol", "1e-6"]) == 0
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-iter", "0"), ("--tol", "-1"), ("--tol", "0"),
     ])

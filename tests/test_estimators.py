@@ -1,4 +1,3 @@
-import os
 import re
 
 import numpy as np
@@ -126,6 +125,16 @@ class TestGlasso:
         x = random_instance(rng, 6)
         rep = glasso(x, 0.0, OPTS)
         assert np.allclose(rep.theta.dense() @ x.dense(), np.eye(6), atol=1e-7)
+
+    def test_unpenalized_closed_form_must_certify(self, ill_conditioned):
+        # the closed-form inverse reads KKT residual 5.7e-8 here, above
+        # tol * (1 + max|x|) = 1.7e-9, so it may not report converged=True
+        x = SymMatrix.from_dense(ill_conditioned)
+        with pytest.raises(ConvergenceError, match="glasso: KKT residual"):
+            glasso(x, 0.0, SolverOptions(tol=1e-9))
+        rep = glasso(x, 0.0, SolverOptions(tol=1e-6))
+        assert rep.converged and rep.iterations == 0
+        assert rep.kkt_residual <= 1e-6 * (1.0 + np.max(np.abs(ill_conditioned)))
 
     def test_matrix_weights(self):
         lam = np.array([[0.0, 0.95], [0.95, 0.0]])
@@ -274,6 +283,15 @@ class TestSparseCov:
         rep = sparse_cov(sym([[5.0, 0.1], [0.1, 5.0]]), 1.0, 0.01, OPTS)
         assert np.allclose(rep.theta.dense(), np.diag([4.0, 4.0]), atol=1e-12)
         assert rep.iterations == 0
+
+    def test_direct_path_must_certify(self):
+        # the soft threshold clears the floor, so no ADMM runs; its roundoff
+        # residual (4.2e-17) certifies at tol 1e-9 but not at 1e-20
+        x = random_instance(np.random.default_rng(3), 6)
+        rep = sparse_cov(x, 0.05, 0.01, OPTS)
+        assert rep.converged and rep.iterations == 0 and rep.kkt_residual > 0.0
+        with pytest.raises(ConvergenceError, match="sparse_cov: KKT residual"):
+            sparse_cov(x, 0.05, 0.01, SolverOptions(tol=1e-20))
 
     def test_identity_at_zero_penalty(self, rng):
         x = random_instance(rng, 5)

@@ -17,7 +17,7 @@ from suffreduce.linkage import (
     slt_plus,
     threshold_components,
 )
-from suffreduce.symmat import SymMatrix, hadamard
+from suffreduce.symmat import SymMatrix
 
 
 def sym(rows):
@@ -170,7 +170,7 @@ class TestSlc:
     def test_mask_is_ultrametric_and_psd(self, rng):
         for _ in range(10):
             x = random_instance(rng, int(rng.integers(2, 12)))
-            w = SymMatrix(x.p, np.abs(x.upper))
+            w = SymMatrix.wrap(np.abs(x.dense()))
             lam = float(rng.uniform(0, 1.0))
             mask = slc(w, lam)
             assert is_binary_ultrametric(mask)
@@ -215,7 +215,7 @@ class TestSlc:
             x = random_instance(rng, p)
             lam = float(rng.uniform(0, 1.0))
             part = threshold_components(x, lam)
-            w = SymMatrix(x.p, np.abs(x.upper))
+            w = SymMatrix.wrap(np.abs(x.dense()))
             assert np.array_equal(slc(w, lam).dense(), cluster_matrix(part).dense())
             assert cut_dendrogram(mst_kruskal(x), lam) == part
 

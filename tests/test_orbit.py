@@ -111,7 +111,7 @@ class TestConjMajorizes:
     def test_mask_products(self, rng):
         for _ in range(8):
             x = random_instance(rng, int(rng.integers(2, 7)))
-            w = SymMatrix(x.p, np.abs(x.upper))
+            w = SymMatrix.wrap(np.abs(x.dense()))
             mask = slc(w, float(rng.uniform(0, 0.8)))
             assert conj_majorizes(x, hadamard(mask, x))
 

@@ -138,8 +138,8 @@ class TestReduceInput:
             PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), GroupId.DIAGONAL_CONJUGATION, x
         )
         assert rp.partition.blocks == ((0, 1, 2), (3,))
-        assert np.array_equal(rp.reduced.upper, slt_plus(x).upper)
-        assert np.array_equal(rp.mask.matrix.upper, slc(x, 0.0).upper)
+        assert np.array_equal(rp.reduced.dense(), slt_plus(x).dense())
+        assert np.array_equal(rp.mask.matrix.dense(), slc(x, 0.0).dense())
         assert rp.partition == components(x.dense() > 0)
         assert rp.reduced.entry(0, 2) == -0.3 and rp.reduced.entry(1, 3) == 0.0
 
@@ -152,16 +152,16 @@ class TestReduceInput:
             rp = reduce_input(
                 PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam), GroupId.DIAGONAL_CONJUGATION, x
             )
-            assert np.array_equal(rp.reduced.upper, slt(x, lam).upper)
+            assert np.array_equal(rp.reduced.dense(), slt(x, lam).dense())
             assert np.array_equal(
-                rp.mask.matrix.upper, slc(SymMatrix(x.p, np.abs(x.upper)), lam).upper
+                rp.mask.matrix.dense(), slc(SymMatrix.wrap(np.abs(x.dense())), lam).dense()
             )
             assert rp.partition == threshold_components(x, lam)
             rp = reduce_input(
                 PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), GroupId.DIAGONAL_CONJUGATION, x
             )
-            assert np.array_equal(rp.reduced.upper, slt_plus(x).upper)
-            assert np.array_equal(rp.mask.matrix.upper, slc(x, 0.0).upper)
+            assert np.array_equal(rp.reduced.dense(), slt_plus(x).dense())
+            assert np.array_equal(rp.mask.matrix.dense(), slc(x, 0.0).dense())
             assert rp.partition == components(x.dense() > 0)
 
     def test_unsupported_pair(self):

@@ -15,6 +15,8 @@ class TestSymMatrix:
         m = SymMatrix.from_dense(a)
         assert np.array_equal(m.dense(), m.dense().T)
         assert np.allclose(m.dense(), a)
+        assert np.array_equal(SymMatrix.wrap(a).dense(), a)  # same bits
+        assert np.array_equal(np.asarray(m, dtype=float), m.dense())
 
     def test_entry_matches_dense(self, rng):
         a = random_symmetric(rng, 6)
@@ -24,10 +26,12 @@ class TestSymMatrix:
             for j in range(6):
                 assert m.entry(i, j) == d[i, j]
 
-    def test_mirror_averaging(self):
+    def test_mirror_averaging(self, rng):
         a = np.array([[1.0, 0.5 + 4e-9], [0.5, 1.0]])
         m = SymMatrix.from_dense(a)
         assert m.entry(0, 1) == pytest.approx(0.5 + 2e-9, abs=1e-15)
+        raw = rng.standard_normal((9, 9))
+        assert np.array_equal(SymMatrix.wrap(raw).dense(), (raw + raw.T) / 2.0)
 
     def test_asymmetry_rejected(self):
         a = np.array([[1.0, 0.5], [0.6, 1.0]])
@@ -36,8 +40,21 @@ class TestSymMatrix:
         SymMatrix.from_dense(a, asym_tol=0.2)  # widened tolerance accepts it
 
     def test_non_square_rejected(self):
+        for bad in (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(3), np.zeros((0, 0))):
+            for build in (SymMatrix, SymMatrix.wrap, SymMatrix.from_dense):
+                with pytest.raises(ValueError):
+                    build(bad)
+
+    def test_stored_array_read_only_dense_writable(self, rng):
+        a = random_symmetric(rng, 4)
+        m = SymMatrix.wrap(a)
         with pytest.raises(ValueError):
-            SymMatrix.from_dense(np.zeros((2, 3)))
+            np.asarray(m)[0, 1] = 7.0
+        with pytest.raises(ValueError):
+            np.asarray(m, dtype=float)[1, 0] = 7.0
+        d = m.dense()
+        d[0, 1] = 7.0
+        assert np.array_equal(m.dense(), a)
 
     def test_non_finite_rejected(self):
         a = np.array([[1.0, np.nan], [np.nan, 1.0]])

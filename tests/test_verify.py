@@ -46,9 +46,10 @@ class TestCheckSufficiency:
             Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.4), opts=OPTS
         )
         bad = MaskProjection(GroupId.DIAGONAL_CONJUGATION, matrix=SymMatrix.from_dense(np.eye(3)))
-        rep = check_sufficiency(spec, X3, tol=1e-5, mask_override=bad)
-        assert not rep.dual_feasibility
-        assert not rep.passed
+        for x in (X3, X3.dense()):  # a plain array input is coerced too
+            rep = check_sufficiency(spec, x, tol=1e-5, mask_override=bad)
+            assert not rep.dual_feasibility
+            assert not rep.passed
 
     def test_non_ultrametric_mask_detected(self):
         spec = EstimatorSpec(
