@@ -28,6 +28,8 @@ class SymMatrix:
     store the average of the array and its transpose, so the two mirror
     entries of every pair are the same bits.  ``np.asarray(m)`` reads the
     stored array without a copy; :meth:`dense` returns a writable copy.
+    Equality and hashing go by value; the stored array is read-only, so a
+    SymMatrix can be a dict key.
     """
 
     values: np.ndarray = field(repr=False)
@@ -64,6 +66,15 @@ class SymMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         return cls((a + a.T) / 2.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, SymMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal
+        return hash((self.values.shape, (self.values + 0.0).tobytes()))
 
     def dense(self) -> np.ndarray:
         """Return a fresh, writable (p, p) copy."""

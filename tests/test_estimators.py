@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from suffreduce.estimators import (
@@ -10,6 +11,7 @@ from suffreduce.estimators import (
     Family,
     NoSolutionError,
     SolverOptions,
+    _separable_check,
     fantope_project,
     fantope_spca,
     glasso,
@@ -26,8 +28,9 @@ from suffreduce.estimators import (
     sparse_cov,
 )
 from suffreduce.instances import random_instance, sign_instance
-from suffreduce.linkage import components, threshold_components
+from suffreduce.linkage import Partition, components, threshold_components
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
+from suffreduce.reductions import decompose_blocks, reassemble_blocks, reduce_input
 from suffreduce.symmat import SymMatrix
 
 OPTS = SolverOptions(tol=1e-9)
@@ -458,24 +461,6 @@ class TestSolveDecomposed:
         assert np.max(np.abs(direct.theta.dense() - dec.theta.dense())) <= 1e-6
         assert dec.blocks is not None and len(dec.blocks) >= 2
 
-    def test_thread_cap_respected(self, rng, monkeypatch):
-        monkeypatch.setenv("SUFFREDUCE_THREADS", "1")
-        x = random_instance(rng, 12, n_blocks=4, cross=0.0)
-        spec = EstimatorSpec(
-            Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), opts=OPTS
-        )
-        rep = solve_decomposed(spec, x)
-        assert rep.converged
-
-    def test_bad_thread_env_rejected(self, rng, monkeypatch):
-        monkeypatch.setenv("SUFFREDUCE_THREADS", "0")
-        x = random_instance(rng, 6, n_blocks=2, cross=0.0)
-        spec = EstimatorSpec(
-            Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), opts=OPTS
-        )
-        with pytest.raises(ValueError):
-            solve_decomposed(spec, x)
-
     def test_vector_family_rejected(self):
         spec = EstimatorSpec(Family.LASSO, PenaltySpec(PenaltyKind.ENTRYWISE_L1, 0.5))
         with pytest.raises(ValueError):
@@ -492,3 +477,119 @@ class TestSolveDecomposed:
         direct = solve(spec, x)
         dec = solve_decomposed(spec, x)
         assert np.max(np.abs(direct.theta.dense() - dec.theta.dense())) <= 1e-6
+        assert len(dec.blocks) >= 2
+        assert dec.converged
+        assert dec.kkt_residual <= OPTS.tol * (1.0 + float(np.max(np.abs(x.dense()))))
+
+    @staticmethod
+    def _block_input(draw, sizes):
+        rng = np.random.default_rng(3)
+        return SymMatrix.wrap(block_diag(*[draw(rng, n).dense() for n in sizes]))
+
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV, Family.ISING_PMLE])
+    def test_blockwise_certificate_matches_kkt_residual(self, family):
+        if family is Family.ISING_PMLE:
+            x = self._block_input(sign_instance, (5, 4, 3))
+            spec = EstimatorSpec(family, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                                 opts=SolverOptions(tol=1e-10))
+        else:
+            x = self._block_input(lambda rng, n: random_instance(rng, n, n_blocks=1), (6, 5, 4))
+            penalty = (PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3) if family is Family.GLASSO
+                       else PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY))
+            spec = EstimatorSpec(family, penalty, opts=OPTS)
+        rep = solve_decomposed(spec, x)
+        assert len(rep.blocks) >= 3
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        assert rep.converged and rep.kkt_residual <= spec.opts.tol * scale
+        assert abs(rep.kkt_residual - kkt_residual(spec, x, rep.theta)) <= 1e-12 * scale
+        assert rep.objective == pytest.approx(objective_at(spec, x, rep.theta), rel=1e-12)
+
+    @staticmethod
+    def _near_cutoff(family):
+        """An input, a partition and a block-diagonal non-optimal theta
+        whose entry theta_34 lies above the support cutoff of its own block
+        but below that of the whole matrix, where the input is moved by 0.2
+        so that the two classifications give different residuals."""
+        if family is Family.ISING_PMLE:
+            a = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.2], [0.5, 0.2, 0.0]]
+            b = [[0.0, 1e-10, 0.0], [1e-10, 0.0, 1e-4], [0.0, 1e-4, 0.0]]
+            theta = block_diag(a, b, [[0.0]])
+            _, moment = ising_logpartition(SymMatrix.wrap(theta))
+            s = moment.dense()
+        else:
+            a = 1e4 * np.array([[2.0, -1.0, -0.5], [-1.0, 2.0, -0.2], [-0.5, -0.2, 2.0]])
+            b = [[1.0, -1e-6, 0.0], [-1e-6, 1.0, -0.3], [0.0, -0.3, 1.0]]
+            theta = block_diag(a, b, [[1.0]])
+            s = np.linalg.inv(theta)
+        s[3, 4] = s[4, 3] = s[3, 4] - 0.2
+        return SymMatrix.wrap(s), components(theta), SymMatrix.wrap(theta)
+
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV, Family.ISING_PMLE])
+    def test_blockwise_certificate_uses_global_support_cutoff(self, family):
+        x, partition, theta = self._near_cutoff(family)
+        assert len(partition.blocks) == 3
+        penalty = (PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY) if family is Family.POSITIVE_INVCOV
+                   else PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3))
+        spec = EstimatorSpec(family, penalty, opts=OPTS)
+        kkt, objective = _separable_check(spec, x, theta, partition)
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        assert abs(kkt - kkt_residual(spec, x, theta)) <= 1e-12 * scale
+        assert objective == pytest.approx(objective_at(spec, x, theta), rel=1e-12)
+
+    @staticmethod
+    def _glasso_solution(rng):
+        x = random_instance(rng, 12, n_blocks=3, cross=0.0)
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), opts=OPTS)
+        partition = threshold_components(x, 0.3)
+        assert len(partition.blocks) >= 2
+        return spec, x, partition, solve_decomposed(spec, x).theta.dense()
+
+    def test_blockwise_certificate_rejects_off_block_entry(self, rng):
+        spec, x, partition, theta = self._glasso_solution(rng)
+        i, j = partition.blocks[0][0], partition.blocks[1][0]
+        theta[i, j] = theta[j, i] = 1e-3
+        assert _separable_check(spec, x, SymMatrix.wrap(theta), partition)[0] == np.inf
+
+    def test_blockwise_certificate_rejects_nan(self, rng):
+        spec, x, partition, theta = self._glasso_solution(rng)
+        theta[0, 0] = np.nan
+        assert _separable_check(spec, x, theta, partition)[0] == np.inf
+
+    @pytest.mark.parametrize("family, expected", [
+        (Family.GLASSO, 0.4),  # max(|x_ij| - 0.1, 0) over x_01 = 0.3, x_02 = -0.5
+        (Family.POSITIVE_INVCOV, 0.3),  # max(x_ij, 0) over the same two edges
+    ])
+    def test_blockwise_certificate_scores_cut_edges(self, family, expected):
+        """On a partition finer than the screening partition, the
+        certificate is the screening excess over the cut edges."""
+        x = sym([[1.0, 0.3, -0.5], [0.3, 1.0, 0.2], [-0.5, 0.2, 1.0]])
+        penalty = (PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1) if family is Family.GLASSO
+                   else PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY))
+        spec = EstimatorSpec(family, penalty, opts=OPTS)
+        assert len(reduce_input(*reduction_for(spec), x).partition.blocks) == 1
+        finer = Partition.from_blocks([(0,), (1, 2)], 3)
+        pieces = [(blk, solve(spec, sub).theta) for blk, sub in decompose_blocks(x, finer)]
+        kkt, _ = _separable_check(spec, x, reassemble_blocks(3, pieces), finer)
+        assert kkt == pytest.approx(expected, abs=1e-12)
+
+    def test_ising_above_enumeration_cap(self):
+        rng = np.random.default_rng(0)
+        pieces = [sign_instance(rng, n).dense() for n in (8, 8, 4)]
+        x = SymMatrix.wrap(block_diag(*pieces))
+        spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                             opts=SolverOptions(tol=1e-8))
+        rep = solve_decomposed(spec, x)
+        assert [len(b.indices) for b in rep.blocks] == [8, 8, 4]
+        assert rep.converged
+        assert rep.kkt_residual <= spec.opts.tol * (1.0 + float(np.max(np.abs(x.dense()))))
+        theta = rep.theta.dense()
+        objective = 0.0
+        start = 0
+        for piece, stat in zip(pieces, rep.blocks):
+            direct = ising_pmle(SymMatrix.wrap(piece), 0.05, spec.opts)
+            idx = slice(start, start + len(piece))
+            assert np.array_equal(theta[idx, idx], direct.theta.dense())
+            assert stat.iterations == direct.iterations
+            objective += direct.objective
+            start += len(piece)
+        assert rep.objective == pytest.approx(objective, rel=1e-12)

@@ -56,6 +56,23 @@ class TestSymMatrix:
         d[0, 1] = 7.0
         assert np.array_equal(m.dense(), a)
 
+    def test_value_equality_and_hash(self, rng):
+        a = random_symmetric(rng, 4)
+        m = SymMatrix.wrap(a)
+        same = SymMatrix.wrap(a.copy())
+        assert m == same and not m != same
+        assert hash(m) == hash(same)
+        changed = a.copy()
+        changed[0, 1] = changed[1, 0] = a[0, 1] + 1.0
+        assert m != SymMatrix.wrap(changed)
+        assert m != SymMatrix.wrap(a[:3, :3])
+        assert m != "m" and m != None and m != [[0.0]]  # noqa: E711
+        assert m.__eq__(np.asarray(m)) is NotImplemented
+        zero, negative_zero = SymMatrix.wrap(np.zeros((2, 2))), SymMatrix.wrap(-np.zeros((2, 2)))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        table = {m: "m", SymMatrix.wrap(changed): "changed"}
+        assert table[same] == "m" and len(table) == 2
+
     def test_non_finite_rejected(self):
         a = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError):
