@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -90,6 +91,53 @@ class TestNonFiniteNeverCertifies:
                 SolverOptions(max_iter=50),
                 1e-9,
             )
+
+
+class TestCertificateSchedule:
+    """_admm certifies on its cadence, at the last iteration, and at most
+    once per window when both ADMM residual norms are within tol."""
+
+    @pytest.mark.parametrize("max_iter", [100, 95, 7])
+    def test_stalled_solve_bounds_certificate_calls(self, max_iter):
+        from suffreduce.estimators import _admm
+
+        calls = []
+
+        def certify(theta, z):
+            calls.append(1)
+            return np.inf, z
+
+        def zero(v, rho):  # theta = z = z_old = 0: both residual norms are 0
+            return np.zeros_like(v)
+
+        opts = SolverOptions(max_iter=max_iter, check_every=10)
+        with pytest.raises(ConvergenceError):
+            _admm("stalled", zero, zero, np.zeros((3, 3)), certify, opts, 1e-9)
+        assert len(calls) <= 2 * math.ceil(max_iter / opts.check_every)
+
+    @staticmethod
+    def _one_block():
+        # the cadence alone first certifies this input at iteration 25
+        x = random_instance(np.random.default_rng(3), 20, n_blocks=1)
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.5),
+                             opts=SolverOptions(tol=1e-7))
+        return spec, x
+
+    def test_certifies_before_first_cadence_check(self):
+        spec, x = self._one_block()
+        rep = solve(spec, x)
+        assert rep.converged
+        assert rep.iterations < spec.opts.check_every
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        assert kkt_residual(spec, x, rep.theta) <= spec.opts.tol * scale
+
+    def test_one_block_decomposed_matches_solve(self):
+        spec, x = self._one_block()
+        direct = solve(spec, x)
+        dec = solve_decomposed(spec, x)
+        assert len(dec.blocks) == 1
+        assert dec.iterations == direct.iterations == dec.blocks[0].iterations
+        assert np.array_equal(dec.theta.dense(), direct.theta.dense())
 
 
 class TestClosedForms:
