@@ -1,0 +1,265 @@
+"""Check that a git revision and the working tree give bit-identical results.
+
+    python3 scripts/parity.py --against HEAD~1
+
+Exports ``<rev>`` with ``git archive`` into a temporary directory, then runs
+one fixed set of calls twice, each time in a fresh subprocess: once
+importing the library from the exported ``src/`` and once from this tree's
+``src/``.  The set is
+
+- the acceptance battery at seeds 20240817 and 7 (50 instances each):
+  glasso and sparse_cov at the 0.4 and 0.7 off-diagonal quantiles,
+  positive_invcov, and fantope_spca (k = 2), each through ``solve`` and
+  ``solve_decomposed``, with ``kkt_residual`` and ``objective_at`` at the
+  solution and at a perturbed, non-optimal point;
+- Ising pseudo-likelihood at p = 6, 8, 10, 12, the same way;
+- decomposed glasso on one planted p = 500 input (25 blocks) per seed at
+  the eight lambdas 0.30 .. 0.66;
+- glasso with a symmetric weight matrix, with and without a penalized
+  diagonal, and lasso and nnls, through ``solve``, ``kkt_residual`` and
+  ``objective_at``;
+- ``reduction_for`` and ``reduce_input`` for every spec above.
+
+Per item it compares the SHA-256 of theta, the iteration count, the block
+iteration counts, the KKT residual and the objective as float hex, the
+``converged`` flag, the reduction pair and the reduced input, mask and
+partition, or the exception raised.  Exits 0 when every item is identical
+and no call raised on either side, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (20240817, 7)
+PLANTED_LAMS = tuple(float(v) for v in np.linspace(0.30, 0.66, 8))
+
+
+def _sha(a) -> str:
+    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _hex(v) -> str:
+    return float(v).hex()
+
+
+def _report(rep) -> dict:
+    return {
+        "theta": _sha(rep.theta),
+        "iterations": rep.iterations,
+        "blocks": None if rep.blocks is None else [b.iterations for b in rep.blocks],
+        "kkt": _hex(rep.kkt_residual),
+        "objective": _hex(rep.objective),
+        "converged": bool(rep.converged),
+    }
+
+
+def _quantile(x, q: float) -> float:
+    d = np.abs(x.dense())
+    return float(np.quantile(d[~np.eye(x.p, dtype=bool)], q))
+
+
+class _Dump:
+    """The fixed call set, run against whichever suffreduce is importable."""
+
+    def __init__(self):
+        from suffreduce import estimators
+        from suffreduce.reductions import reduce_input
+
+        self.est = estimators
+        self.reduce_input = reduce_input
+        self.out: dict = {}
+
+    def record(self, key: str, call):
+        """Store call()'s digest under key, or the exception it raised."""
+        try:
+            value, digest = call()
+        except Exception as exc:  # a raise is a result to compare
+            self.out[key] = {"raised": f"{type(exc).__name__}: {exc}"}
+            return None
+        self.out[key] = digest
+        return value
+
+    def solved(self, key: str, way: str, spec, x):
+        def call():
+            rep = getattr(self.est, way)(spec, x)
+            return rep, _report(rep)
+        return self.record(f"{key}/{way}", call)
+
+    def point(self, key: str, spec, x, theta):
+        self.record(key, lambda: (None, {
+            "kkt": _hex(self.est.kkt_residual(spec, x, theta)),
+            "objective": _hex(self.est.objective_at(spec, x, theta)),
+        }))
+
+    def reduction(self, key: str, spec, x):
+        def call():
+            penalty, group = self.est.reduction_for(spec)
+            rp = self.reduce_input(penalty, group, x)
+            mask = rp.mask.vector if rp.mask.matrix is None else rp.mask.matrix
+            weights = None if penalty.weights is None else _sha(penalty.weights)
+            return None, {
+                "penalty": [penalty.kind.value, weights],
+                "group": group.value,
+                "reduced": _sha(rp.reduced),
+                "mask": _sha(mask),
+                "partition": None if rp.partition is None else rp.partition.blocks,
+            }
+        self.record(f"{key}/reduction", call)
+
+    def matrix_spec(self, key: str, spec, x, gen, decompose: bool = True):
+        """solve and, with ``decompose``, the reduction and solve_decomposed;
+        the certificate and objective at each solution and at a perturbed
+        point."""
+        ways = ("solve",)
+        if decompose:
+            self.reduction(key, spec, x)
+            ways += ("solve_decomposed",)
+        for way in ways:
+            rep = self.solved(key, way, spec, x)
+            if rep is None:
+                continue
+            self.point(f"{key}/{way}/at_solution", spec, x, rep.theta)
+            t = np.asarray(rep.theta, dtype=float)
+            e = gen.standard_normal(t.shape)
+            t = 0.9 * t + 0.01 * (e + e.T)
+            if spec.family is self.est.Family.ISING_PMLE:
+                np.fill_diagonal(t, 0.0)
+            self.point(f"{key}/{way}/perturbed", spec, x, t)
+
+    def run(self) -> dict:
+        from suffreduce.instances import random_instance, sign_instance
+        from suffreduce.penalty import PenaltyKind, PenaltySpec
+
+        est = self.est
+        Spec, Fam, Opts = est.EstimatorSpec, est.Family, est.SolverOptions
+        crit = Opts(tol=1e-8)
+
+        def l1(lam):
+            return PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam)
+
+        for seed in SEEDS:
+            gen = np.random.default_rng(seed)
+            pert = np.random.default_rng([seed, 2])
+            for i in range(50):
+                p = (10, 20, 30)[i % 3]
+                n_blocks = int(gen.integers(1, 5))
+                cross = float(gen.choice([0.0, 0.05, 0.1]))
+                x = random_instance(gen, p, n_blocks=n_blocks, cross=cross)
+                key = f"battery/{seed}/{i}"
+                for q in (0.4, 0.7):
+                    lam = _quantile(x, q)
+                    self.matrix_spec(f"{key}/glasso/q{q}", Spec(Fam.GLASSO, l1(lam), opts=crit),
+                                     x, pert)
+                    self.matrix_spec(f"{key}/sparse_cov/q{q}",
+                                     Spec(Fam.SPARSE_COV, l1(lam), eps=0.01, opts=crit), x, pert)
+                self.matrix_spec(
+                    f"{key}/positive_invcov",
+                    Spec(Fam.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY),
+                         opts=crit),
+                    x, pert)
+                self.matrix_spec(
+                    f"{key}/fantope_spca",
+                    Spec(Fam.FANTOPE_SPCA, l1(_quantile(x, 0.6)), k=2,
+                         opts=Opts(tol=1e-7, max_iter=100000)),
+                    x, pert)
+                if i < 10:
+                    w = np.abs(pert.standard_normal((p, p))) * _quantile(x, 0.5)
+                    for diag in (False, True):
+                        self.matrix_spec(
+                            f"{key}/glasso_weights/diag{diag}",
+                            Spec(Fam.GLASSO, l1((w + w.T) / 2.0), penalize_diagonal=diag,
+                                 opts=crit),
+                            x, pert, decompose=False)  # a weight matrix has no reduction
+
+            for p in (6, 8, 10, 12):
+                xs = sign_instance(gen, p)
+                self.matrix_spec(f"ising/{seed}/{p}",
+                                 Spec(Fam.ISING_PMLE, l1(_quantile(xs, 0.5)),
+                                      opts=Opts(tol=1e-10)),
+                                 xs, pert)
+
+            xp = random_instance(gen, 500, n_blocks=25, within=0.6, cross=0.05)
+            for lam in PLANTED_LAMS:
+                spec = Spec(Fam.GLASSO, l1(lam), opts=Opts(tol=1e-7))
+                key = f"planted/{seed}/{lam:.4f}"
+                self.reduction(key, spec, xp)
+                self.solved(key, "solve_decomposed", spec, xp)
+
+            v = gen.standard_normal(40)
+            for name, penalty, family in (
+                ("lasso", PenaltySpec(PenaltyKind.ENTRYWISE_L1, 0.5), Fam.LASSO),
+                ("lasso_weights",
+                 PenaltySpec(PenaltyKind.ENTRYWISE_L1, np.abs(gen.standard_normal(40))),
+                 Fam.LASSO),
+                ("nnls", PenaltySpec(PenaltyKind.POSITIVE_CONE), Fam.NNLS),
+            ):
+                spec, key = Spec(family, penalty), f"vector/{seed}/{name}"
+                self.reduction(key, spec, v)
+                rep = self.solved(key, "solve", spec, v)
+                if rep is not None:
+                    self.point(f"{key}/perturbed", spec, v,
+                               rep.theta + 0.01 * pert.standard_normal(40))
+        return self.out
+
+
+def _side(src: Path) -> dict:
+    """Run the call set in a subprocess that imports the library from src."""
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--dump", str(src)],
+        capture_output=True, text=True, check=False,
+    )
+    if out.returncode != 0:
+        raise SystemExit(f"call set failed against {src}:\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+def _compare(before: dict, after: dict) -> int:
+    keys = sorted(set(before) | set(after))
+    differ = [k for k in keys if before.get(k) != after.get(k)]
+    raised = [k for k in keys
+              if "raised" in before.get(k, {}) or "raised" in after.get(k, {})]
+    solves = sum(1 for k in keys if k.endswith(("/solve", "/solve_decomposed")))
+    print(f"parity: {len(keys)} items ({solves} solves), {len(keys) - len(differ)} identical, "
+          f"{len(differ)} differ, {len(raised)} raised")
+    for k in differ:
+        print(f"  DIFF {k}\n    before {before.get(k)}\n    after  {after.get(k)}")
+    for k in raised:
+        print(f"  RAISED {k}: {before.get(k)} | {after.get(k)}")
+    return 1 if differ or raised else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", help="git revision to compare the working tree with")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump:
+        sys.path.insert(0, args.dump)
+        json.dump(_Dump().run(), sys.stdout)
+        return 0
+    if not args.against:
+        parser.error("--against is required")
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        archive = subprocess.run(["git", "archive", args.against, "src"], cwd=ROOT,
+                                 capture_output=True, check=False)
+        if archive.returncode != 0:
+            raise SystemExit(archive.stderr.decode())
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        before = _side(Path(tmp) / "src")
+    after = _side(ROOT / "src")
+    return _compare(before, after)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

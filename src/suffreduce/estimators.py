@@ -15,11 +15,13 @@ at most that tolerance.  Frobenius norms are at least the max-abs scale the
 tolerance is stated in, so this trigger is conservative; it only decides
 when to certify, never whether a point is optimal.
 
-solve_decomposed solves the blocks of a screened input one after another and
-certifies the reassembled point block by block: for the separable families
-the KKT conditions and the objective split over the blocks, so the global
-certificate costs one eigendecomposition per block, not one of the whole
-matrix, and still reads only the input and the reported point.
+A family is defined by one record in ``_FAMILIES``; every entry point looks
+it up and checks the spec against it.  Matrix families have one certificate
+path, the block by block check: solve_decomposed runs it on the screened
+partition, kkt_residual and objective_at on the one-block partition.  For
+the separable families the KKT conditions and the objective split over the
+blocks, so a decomposed solve is certified with one eigendecomposition per
+block, not one of the whole matrix, reading only the input and the point.
 
 fantope_spca keeps its own ADMM loop and still stops on its ADMM residuals
 rather than on an independent certificate (ROADMAP item 2).
@@ -28,12 +30,14 @@ rather than on an independent certificate (ROADMAP item 2).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, wraps
 
 import numpy as np
 
+from .linkage import Partition
 from .penalty import GroupId, PenaltyKind, PenaltySpec
 from .reductions import ReducedProblem, decompose_blocks, reassemble_blocks, reduce_input
 from .symmat import SymMatrix, as_symmetric
@@ -82,15 +86,6 @@ class Family(Enum):
     SPARSE_COV = "sparse_cov"
     POSITIVE_INVCOV = "positive_invcov"
     ISING_PMLE = "ising_pmle"
-
-
-MATRIX_FAMILIES = {
-    Family.GLASSO,
-    Family.FANTOPE_SPCA,
-    Family.SPARSE_COV,
-    Family.POSITIVE_INVCOV,
-    Family.ISING_PMLE,
-}
 
 
 @dataclass(frozen=True)
@@ -310,16 +305,7 @@ def _glasso_kkt(s, lam_mat, z, top=None) -> float:
     return worst
 
 
-def _spectrum(z, blocks=None) -> np.ndarray:
-    """Eigenvalues of z; with ``blocks`` (np.ix_ index pairs), those of its
-    diagonal blocks, which are z's own when z is zero off them."""
-    if blocks is None:
-        return np.linalg.eigvalsh(z)
-    return np.concatenate([np.linalg.eigvalsh(z[ix]) for ix in blocks])
-
-
-def _glasso_objective(s, lam_mat, z, blocks=None) -> float:
-    w = _spectrum(z, blocks)
+def _glasso_objective(s, lam_mat, z, w) -> float:  # w: the eigenvalues of z
     return float(-np.sum(np.log(w)) + np.sum(s * z) + np.sum(lam_mat * np.abs(z)))
 
 
@@ -353,7 +339,7 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
         theta = (theta + theta.T) / 2.0
         kkt = _glasso_kkt(s, lam_mat, theta)
         _require_certified("glasso", kkt, opts.tol * _scale(s))
-        return _report_matrix(theta, _glasso_objective(s, lam_mat, theta),
+        return _report_matrix(theta, _glasso_objective(s, lam_mat, theta, np.linalg.eigvalsh(theta)),
                               kkt, 0, True)
 
     z, kkt, it = _admm(
@@ -365,7 +351,7 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
         opts,
         opts.tol * _scale(s),
     )
-    return _report_matrix(z, _glasso_objective(s, lam_mat, z), kkt, it, True)
+    return _report_matrix(z, _glasso_objective(s, lam_mat, z, np.linalg.eigvalsh(z)), kkt, it, True)
 
 
 # =====================================================================
@@ -445,6 +431,10 @@ def _fantope_kkt(s, lam, k, z) -> float:
     return float(np.max(np.abs(y - z)))
 
 
+def _fantope_objective(s, lam, z) -> float:
+    return float(np.sum(s * z) - lam * np.sum(np.abs(z)))
+
+
 def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = None) -> SolveReport:
     """Sparse principal subspace fit.
 
@@ -458,8 +448,6 @@ def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = 
         raise ValueError("lam must be nonnegative")
     s = x.dense()
     p = x.p
-    if not 1 <= k <= p:
-        raise ValueError(f"k must be in 1..{p}, got {k}")
     scale = _scale(s)
     tol = opts.tol * scale
     rho = opts.rho
@@ -477,8 +465,7 @@ def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = 
         r_norm = float(np.max(np.abs(theta - z)))
         s_norm = rho * float(np.max(np.abs(z - z_old)))
         if max(r_norm, s_norm) <= tol:
-            obj = float(np.sum(s * z) - lam * np.sum(np.abs(z)))
-            return _report_matrix(z, obj, max(r_norm, s_norm), it, True)
+            return _report_matrix(z, _fantope_objective(s, lam, z), max(r_norm, s_norm), it, True)
         if opts.adapt_rho and it % opts.check_every == 0:
             if r_norm > 10.0 * s_norm and rho < 1e5:
                 rho *= 2.0
@@ -586,8 +573,7 @@ def _positive_invcov_kkt(s, z, top=None) -> float:
     return worst
 
 
-def _positive_invcov_objective(s, z, blocks=None) -> float:
-    w = _spectrum(z, blocks)
+def _positive_invcov_objective(s, z, w) -> float:  # w: the eigenvalues of z
     if w.min() <= 0:
         return np.inf
     return float(-np.sum(np.log(w)) + np.sum(s * z))
@@ -615,7 +601,7 @@ def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveRep
         opts,
         opts.tol * _scale(s),
     )
-    return _report_matrix(z, _positive_invcov_objective(s, z), kkt, it, True)
+    return _report_matrix(z, _positive_invcov_objective(s, z, np.linalg.eigvalsh(z)), kkt, it, True)
 
 
 # =====================================================================
@@ -683,8 +669,6 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     p = x.p
-    if p > ISING_MAX_P:
-        raise ValueError(f"enumeration capped at p={ISING_MAX_P}, got {p}")
     s = x.dense()
     scale = _scale(s)
     tol = opts.tol * scale
@@ -729,164 +713,201 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
 
 
 # =====================================================================
-# dispatch, objectives, certificates
+# the family table: dispatch, objectives, certificates
 # =====================================================================
 
-def _expect_kind(spec: EstimatorSpec, kind: PenaltyKind):
-    if spec.penalty.kind is not kind:
+@dataclass(frozen=True)
+class _Record:
+    """An estimator family: the penalty ``kind`` and spec fields (``needs``)
+    it requires, its solver ``run(spec, x)``, its reduction ``group``, and
+    its certificate.  A vector family (``matrix=False``) gives
+    ``residual(spec, x, theta)`` and ``objective(spec, x, theta)``.  A matrix
+    family is checked block by block: ``piece(theta_bb)`` is a block's
+    non-entrywise objective term, ``residual(spec, x_bb, theta_bb, top,
+    piece)`` its KKT residual, and ``objective(spec, x, theta, pieces)``
+    assembles the objective.  ``couples``: the blocks share a constraint.
+    """
+
+    kind: PenaltyKind
+    group: GroupId
+    run: Callable
+    residual: Callable
+    objective: Callable
+    piece: Callable = lambda theta: None
+    needs: tuple[str, ...] = ()
+    matrix: bool = True
+    couples: bool = False
+
+
+def _lasso_kkt(spec, x, theta) -> float:
+    lam = np.broadcast_to(np.asarray(spec.penalty.weights, dtype=float), x.shape)
+    on = theta != 0.0
+    worst = 0.0
+    if on.any():
+        worst = float(np.max(np.abs((theta - x + lam * np.sign(theta))[on])))
+    if (~on).any():
+        worst = max(worst, float(np.max(np.maximum(np.abs(x[~on]) - lam[~on], 0.0))))
+    return worst
+
+
+def _nnls_kkt(spec, x, theta) -> float:
+    on = theta != 0.0
+    worst = 0.0
+    if on.any():
+        worst = float(np.max(np.abs((theta - x)[on])))
+    if (~on).any():
+        worst = max(worst, float(np.max(np.maximum(x[~on], 0.0))))
+    return worst
+
+
+def _lasso_objective(spec, x, theta) -> float:
+    lam = np.broadcast_to(np.asarray(spec.penalty.weights, dtype=float), x.shape)
+    return 0.5 * float(np.sum((x - theta) ** 2)) + float(np.sum(lam * np.abs(theta)))
+
+
+def _nnls_objective(spec, x, theta) -> float:
+    return np.inf if np.any(theta < 0) else 0.5 * float(np.sum((x - theta) ** 2))
+
+
+def _glasso_lam(spec, p: int) -> np.ndarray:
+    return _lambda_matrix(spec.penalty.weights, p, spec.penalize_diagonal)
+
+
+def _lam(spec) -> float:
+    return spec.penalty.scalar_weight()
+
+
+def _ising_block_kkt(spec, s, t, top, enumerated) -> float:
+    # the block's enumeration is shared with the objective; a check that
+    # computes no objective enumerates here instead
+    _, moment = enumerated or ising_logpartition(SymMatrix.wrap(t))
+    return _ising_kkt(np.asarray(moment) - s, _lam(spec), t, top=top)
+
+
+_FAMILIES = {
+    Family.LASSO: _Record(
+        PenaltyKind.ENTRYWISE_L1, GroupId.SIGN_FLIP_VECTOR,
+        run=lambda spec, x: _vector_report(spec, x, lasso(x, spec.penalty.weights)),
+        residual=_lasso_kkt, objective=_lasso_objective, matrix=False,
+    ),
+    Family.NNLS: _Record(
+        PenaltyKind.POSITIVE_CONE, GroupId.SIGN_FLIP_VECTOR,
+        run=lambda spec, x: _vector_report(spec, x, nnls(x)),
+        residual=_nnls_kkt, objective=_nnls_objective, matrix=False,
+    ),
+    Family.GLASSO: _Record(
+        PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
+        run=lambda spec, x: glasso(x, spec.penalty.weights, spec.opts, spec.penalize_diagonal),
+        # np.linalg is looked up on each call, so a wrapped eigvalsh sees it
+        piece=lambda t: np.linalg.eigvalsh(t),
+        residual=lambda spec, s, t, top, _: _glasso_kkt(s, _glasso_lam(spec, len(s)), t, top=top),
+        objective=lambda spec, s, t, w: _glasso_objective(
+            s, _glasso_lam(spec, len(s)), t, np.concatenate(w)),
+    ),
+    Family.FANTOPE_SPCA: _Record(
+        PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
+        run=lambda spec, x: fantope_spca(x, _lam(spec), spec.k, spec.opts),
+        residual=lambda spec, s, t, top, _: _fantope_kkt(s, _lam(spec), spec.k, t),
+        objective=lambda spec, s, t, _: _fantope_objective(s, _lam(spec), t),
+        needs=("k",), couples=True,
+    ),
+    Family.SPARSE_COV: _Record(
+        PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
+        run=lambda spec, x: sparse_cov(x, _lam(spec), spec.eps, spec.opts),
+        residual=lambda spec, s, t, top, _: _sparse_cov_kkt(s, _lam(spec), spec.eps, t, top=top),
+        objective=lambda spec, s, t, _: _sparse_cov_objective(s, _lam(spec), t),
+        needs=("eps",),
+    ),
+    Family.POSITIVE_INVCOV: _Record(
+        PenaltyKind.OFFDIAG_POSITIVITY, GroupId.DIAGONAL_CONJUGATION,
+        run=lambda spec, x: positive_invcov(x, spec.opts),
+        piece=lambda t: np.linalg.eigvalsh(t),
+        residual=lambda spec, s, t, top, _: _positive_invcov_kkt(s, t, top=top),
+        objective=lambda spec, s, t, w: _positive_invcov_objective(s, t, np.concatenate(w)),
+    ),
+    Family.ISING_PMLE: _Record(
+        PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
+        run=lambda spec, x: ising_pmle(x, _lam(spec), spec.opts),
+        piece=lambda t: ising_logpartition(SymMatrix.wrap(t)),
+        residual=_ising_block_kkt,
+        objective=lambda spec, s, t, lms: _ising_objective(
+            s, _lam(spec), t, sum(logz for logz, _ in lms)),
+    ),
+}
+
+
+def _family(spec: EstimatorSpec) -> _Record:
+    """The record of spec's family, once spec has what the family needs."""
+    rec = _FAMILIES[spec.family]
+    if spec.penalty.kind is not rec.kind:
         raise ValueError(
-            f"{spec.family.value} expects a {kind.value} penalty, "
+            f"{spec.family.value} expects a {rec.kind.value} penalty, "
             f"got {spec.penalty.kind.value}"
         )
+    for name in rec.needs:
+        if getattr(spec, name) is None:
+            raise ValueError(f"{spec.family.value} requires {name}")
+    return rec
 
 
 def solve(spec: EstimatorSpec, x) -> SolveReport:
     """Run the family's solver on input x and return its report."""
-    fam = spec.family
-    if fam is Family.LASSO:
-        _expect_kind(spec, PenaltyKind.ENTRYWISE_L1)
-        xv = np.asarray(x, dtype=float)
-        theta = lasso(xv, spec.penalty.weights)
-        return _vector_report(spec, xv, theta)
-    if fam is Family.NNLS:
-        _expect_kind(spec, PenaltyKind.POSITIVE_CONE)
-        xv = np.asarray(x, dtype=float)
-        theta = nnls(xv)
-        return _vector_report(spec, xv, theta)
-    xm = as_symmetric(x)
-    if fam is Family.GLASSO:
-        _expect_kind(spec, PenaltyKind.SYMMETRIC_L1)
-        return glasso(xm, spec.penalty.weights, spec.opts, spec.penalize_diagonal)
-    if fam is Family.FANTOPE_SPCA:
-        _expect_kind(spec, PenaltyKind.SYMMETRIC_L1)
-        if spec.k is None:
-            raise ValueError("fantope_spca requires k")
-        return fantope_spca(xm, spec.penalty.scalar_weight(), spec.k, spec.opts)
-    if fam is Family.SPARSE_COV:
-        _expect_kind(spec, PenaltyKind.SYMMETRIC_L1)
-        if spec.eps is None:
-            raise ValueError("sparse_cov requires eps")
-        return sparse_cov(xm, spec.penalty.scalar_weight(), spec.eps, spec.opts)
-    if fam is Family.POSITIVE_INVCOV:
-        _expect_kind(spec, PenaltyKind.OFFDIAG_POSITIVITY)
-        return positive_invcov(xm, spec.opts)
-    if fam is Family.ISING_PMLE:
-        _expect_kind(spec, PenaltyKind.SYMMETRIC_L1)
-        return ising_pmle(xm, spec.penalty.scalar_weight(), spec.opts)
-    raise ValueError(f"unknown family {fam}")
+    rec = _family(spec)
+    return rec.run(spec, as_symmetric(x) if rec.matrix else np.asarray(x, dtype=float))
 
 
 def _vector_report(spec, x, theta) -> SolveReport:
     kkt = kkt_residual(spec, x, theta)
-    return SolveReport(
-        theta,
-        objective_at(spec, x, theta),
-        kkt,
-        0,
-        True,
-        _support(theta),
-    )
+    return SolveReport(theta, objective_at(spec, x, theta), kkt, 0, True, _support(theta))
+
+
+def _check(spec: EstimatorSpec, x, theta, residual: bool) -> float:
+    """The KKT residual if ``residual``, else the objective; for a matrix
+    family, from its blockwise check on the one-block partition."""
+    rec = _family(spec)
+    if rec.matrix:
+        xm = as_symmetric(x)
+        one = Partition.from_blocks([range(xm.p)], xm.p)
+        return _separable_check(spec, xm, theta, one, residual, not residual)[not residual]
+    xv, td = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+    return (rec.residual if residual else rec.objective)(spec, xv, td)
 
 
 def objective_at(spec: EstimatorSpec, x, theta) -> float:
     """Evaluate the family objective at an arbitrary point."""
-    fam = spec.family
-    td = np.asarray(theta, dtype=float)
-    if fam in (Family.LASSO, Family.NNLS):
-        xv = np.asarray(x, dtype=float)
-        base = 0.5 * float(np.sum((xv - td) ** 2))
-        if fam is Family.LASSO:
-            lam = np.broadcast_to(np.asarray(spec.penalty.weights, dtype=float), xv.shape)
-            return base + float(np.sum(lam * np.abs(td)))
-        if np.any(td < 0):
-            return np.inf
-        return base
-    s = as_symmetric(x).dense()
-    if fam is Family.GLASSO:
-        lam_mat = _lambda_matrix(spec.penalty.weights, s.shape[0], spec.penalize_diagonal)
-        return _glasso_objective(s, lam_mat, td)
-    if fam is Family.FANTOPE_SPCA:
-        lam = spec.penalty.scalar_weight()
-        return float(np.sum(s * td) - lam * np.sum(np.abs(td)))
-    if fam is Family.SPARSE_COV:
-        return _sparse_cov_objective(s, spec.penalty.scalar_weight(), td)
-    if fam is Family.POSITIVE_INVCOV:
-        return _positive_invcov_objective(s, td)
-    if fam is Family.ISING_PMLE:
-        lam = spec.penalty.scalar_weight()
-        logz, _ = ising_logpartition(SymMatrix.wrap(td))
-        return _ising_objective(s, lam, td, logz)
-    raise ValueError(f"unknown family {fam}")
+    return _check(spec, x, theta, residual=False)
 
 
 def kkt_residual(spec: EstimatorSpec, x, theta) -> float:
     """Independent first-order certificate at theta (0 = exact optimum)."""
-    fam = spec.family
-    td = np.asarray(theta, dtype=float)
-    if fam is Family.LASSO:
-        xv = np.asarray(x, dtype=float)
-        lam = np.broadcast_to(np.asarray(spec.penalty.weights, dtype=float), xv.shape)
-        on = td != 0.0
-        worst = 0.0
-        if on.any():
-            worst = float(np.max(np.abs((td - xv + lam * np.sign(td))[on])))
-        if (~on).any():
-            worst = max(worst, float(np.max(np.maximum(np.abs(xv[~on]) - lam[~on], 0.0))))
-        return worst
-    if fam is Family.NNLS:
-        xv = np.asarray(x, dtype=float)
-        on = td != 0.0
-        worst = 0.0
-        if on.any():
-            worst = float(np.max(np.abs((td - xv)[on])))
-        if (~on).any():
-            worst = max(worst, float(np.max(np.maximum(xv[~on], 0.0))))
-        return worst
-    s = as_symmetric(x).dense()
-    if fam is Family.GLASSO:
-        lam_mat = _lambda_matrix(spec.penalty.weights, s.shape[0], spec.penalize_diagonal)
-        return _glasso_kkt(s, lam_mat, td)
-    if fam is Family.FANTOPE_SPCA:
-        return _fantope_kkt(s, spec.penalty.scalar_weight(), spec.k, td)
-    if fam is Family.SPARSE_COV:
-        return _sparse_cov_kkt(s, spec.penalty.scalar_weight(), spec.eps, td)
-    if fam is Family.POSITIVE_INVCOV:
-        return _positive_invcov_kkt(s, td)
-    if fam is Family.ISING_PMLE:
-        _, moment = ising_logpartition(SymMatrix.wrap(td))
-        return _ising_kkt(moment.dense() - s, spec.penalty.scalar_weight(), td)
-    raise ValueError(f"unknown family {fam}")
+    return _check(spec, x, theta, residual=True)
 
 
 def reduction_for(spec: EstimatorSpec) -> tuple[PenaltySpec, GroupId]:
     """The (penalty, group) pair whose reduction is sufficient for spec."""
-    fam = spec.family
-    if fam is Family.LASSO:
-        return spec.penalty, GroupId.SIGN_FLIP_VECTOR
-    if fam is Family.NNLS:
-        return PenaltySpec(PenaltyKind.POSITIVE_CONE), GroupId.SIGN_FLIP_VECTOR
-    if fam is Family.POSITIVE_INVCOV:
-        return PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), GroupId.DIAGONAL_CONJUGATION
-    if fam in (Family.GLASSO, Family.FANTOPE_SPCA, Family.SPARSE_COV, Family.ISING_PMLE):
-        lam = spec.penalty.scalar_weight()
-        return PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam), GroupId.DIAGONAL_CONJUGATION
-    raise ValueError(f"no reduction registered for {fam}")
+    rec = _family(spec)
+    penalty = spec.penalty
+    if penalty.kind is PenaltyKind.SYMMETRIC_L1:
+        # a matrix is screened at one level, so the weight must be a scalar
+        penalty = PenaltySpec(penalty.kind, penalty.scalar_weight())
+    return penalty, rec.group
 
 
-def _separable_check(spec: EstimatorSpec, x, theta, partition) -> tuple[float, float]:
-    """KKT residual and objective of a separable family at a theta that is
+def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = True,
+                     objective: bool = True) -> tuple[float | None, float | None]:
+    """KKT residual and objective of a matrix family at a theta that is
     zero off the blocks of ``partition``, computed block by block.
 
     Off the blocks the condition is the screening inequality on x itself,
     scored as its excess: max(|x_ij| - lam, 0), or max(x_ij, 0) for
-    positive_invcov.  On each block it is the family's own residual at
-    (x_bb, theta_bb), with support classified against max|theta| over the
-    whole matrix, so the result equals :func:`kkt_residual` up to rounding.
-    The log-det and log-partition terms of the objective are sums over the
-    blocks; its other terms are entrywise sums.  No solver state is read.
-    Returns (inf, nan) if theta has a non-finite entry or a nonzero entry
-    off the blocks.
+    positive_invcov.  On each block it is the family's residual at (x_bb,
+    theta_bb), with support classified against max|theta| over the whole
+    matrix, so every partition gives the one-block result up to rounding.
+    No solver state is read.  ``residual=False`` or ``objective=False``
+    skips that half, which then reads None.  Returns (inf, nan) if theta has
+    a non-finite entry or a nonzero entry off the blocks.
     """
+    rec = _family(spec)
     s = np.asarray(x, dtype=float)
     td = np.asarray(theta, dtype=float)
     blocks = [np.ix_(blk, blk) for blk in partition.blocks]
@@ -896,34 +917,24 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition) -> tuple[float, f
     in_blocks = sum(np.count_nonzero(td[ix]) for ix in blocks)
     if not np.isfinite(top) or np.count_nonzero(td) != in_blocks:
         return np.inf, np.nan
-    fam = spec.family
-    positive = fam is Family.POSITIVE_INVCOV
-    lam = 0.0 if positive else spec.penalty.scalar_weight()
-    # one p x p work array and no masked copies: temporaries whose size
-    # varies from solve to solve fragment the heap and raise peak memory
-    work = s.copy() if positive else np.abs(s)
-    for ix in blocks:
-        work[ix] = 0.0
-    resid = [max(float(work.max()) - lam, 0.0)]
-    del work
-    if positive:
-        resid += [_positive_invcov_kkt(s[ix], td[ix], top=top) for ix in blocks]
-        objective = _positive_invcov_objective(s, td, blocks)
-    elif fam is Family.GLASSO:
-        lam_mat = _lambda_matrix(lam, td.shape[0], spec.penalize_diagonal)
-        resid += [_glasso_kkt(s[ix], lam_mat[ix], td[ix], top=top) for ix in blocks]
-        objective = _glasso_objective(s, lam_mat, td, blocks)
-    elif fam is Family.SPARSE_COV:
-        resid += [_sparse_cov_kkt(s[ix], lam, spec.eps, td[ix], top=top) for ix in blocks]
-        objective = _sparse_cov_objective(s, lam, td)
-    else:
-        logz = 0.0
+    resid = [0.0]
+    if residual and len(blocks) > 1:
+        signed = rec.kind is PenaltyKind.OFFDIAG_POSITIVITY
+        # one p x p work array and no masked copies: temporaries whose size
+        # varies from solve to solve fragment the heap and raise peak memory
+        work = s.copy() if signed else np.abs(s)
         for ix in blocks:
-            logz_b, moment = ising_logpartition(SymMatrix.wrap(td[ix]))
-            logz += logz_b
-            resid.append(_ising_kkt(np.asarray(moment) - s[ix], lam, td[ix], top=top))
-        objective = _ising_objective(s, lam, td, logz)
-    return max(resid), objective
+            work[ix] = 0.0
+        resid.append(max(float(work.max()) - (0.0 if signed else _lam(spec)), 0.0))
+        del work
+    pieces = []
+    for ix in blocks:
+        t_b = td[ix]
+        pieces.append(rec.piece(t_b) if objective else None)
+        if residual:
+            resid.append(rec.residual(spec, s[ix], t_b, top, pieces[-1]))
+    return (max(resid) if residual else None,
+            rec.objective(spec, s, td, pieces) if objective else None)
 
 
 def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
@@ -932,32 +943,24 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     Families whose objective separates over the blocks (all matrix families
     except fantope_spca) solve the blocks one after another in a plain loop.
     The reassembled theta is certified block by block against the original
-    input (:func:`_separable_check`): the reported KKT residual and objective
-    equal :func:`kkt_residual` and :func:`objective_at` up to rounding, at
-    the cost of one eigendecomposition per block instead of one of the whole
-    matrix, and ``converged`` means that residual is at most
+    input (:func:`_separable_check`), which gives :func:`kkt_residual` and
+    :func:`objective_at` up to rounding for one eigendecomposition per
+    block; ``converged`` means that residual is at most
     ``opts.tol * (1 + max|x|)``.  fantope_spca couples blocks through its
-    trace budget, so it is re-solved on the reduced matrix as a whole and
-    certified by :func:`kkt_residual`.
+    trace budget, so it is solved on the whole reduced matrix and certified
+    as one block.
     """
-    if spec.family not in MATRIX_FAMILIES:
+    rec = _family(spec)
+    if not rec.matrix:
         raise ValueError("block decomposition applies to matrix families only")
     xm = as_symmetric(x)
-    red_penalty, group = reduction_for(spec)
-    rp: ReducedProblem = reduce_input(red_penalty, group, xm)
+    rp: ReducedProblem = reduce_input(*reduction_for(spec), xm)
 
-    if spec.family is Family.FANTOPE_SPCA:
+    if rec.couples:
         rep = solve(spec, rp.reduced)
         kkt = kkt_residual(spec, xm, rep.theta)
-        return SolveReport(
-            rep.theta,
-            objective_at(spec, xm, rep.theta),
-            kkt,
-            rep.iterations,
-            rep.converged,
-            rep.support,
-            None,
-        )
+        return SolveReport(rep.theta, objective_at(spec, xm, rep.theta), kkt, rep.iterations,
+                           rep.converged, rep.support)
 
     results = []
     for blk, sub in decompose_blocks(rp.reduced, rp.partition):
@@ -966,18 +969,9 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
         results.append((blk, rep, time.perf_counter() - start))
 
     theta = reassemble_blocks(xm.p, [(blk, rep.theta) for blk, rep, _ in results])
-    stats = tuple(
-        BlockStat(blk, rep.iterations, sec) for blk, rep, sec in results
-    )
+    stats = tuple(BlockStat(blk, rep.iterations, sec) for blk, rep, sec in results)
     kkt, objective = _separable_check(spec, xm, theta, rp.partition)
     converged = (all(rep.converged for _, rep, _ in results)
                  and kkt <= spec.opts.tol * _scale(np.asarray(xm)))
-    return SolveReport(
-        theta,
-        objective,
-        kkt,
-        sum(rep.iterations for _, rep, _ in results),
-        converged,
-        _support(np.asarray(theta)),
-        stats,
-    )
+    return SolveReport(theta, objective, kkt, sum(rep.iterations for _, rep, _ in results),
+                       converged, _support(np.asarray(theta)), stats)

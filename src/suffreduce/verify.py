@@ -380,14 +380,19 @@ def run_suite(
     """Run the named invariant suites over seeded random instances.
 
     suites: subset of {"sufficiency", "clustering", "minimality",
-    "orbitope"} or "all".  Empty ``families`` means every family.  Failures
-    are recorded in the summary rather than raised.
+    "orbitope"} or "all".  Empty ``families`` means every family; a name
+    the sufficiency suite does not check raises ValueError.  Failures are
+    recorded in the summary rather than raised.
     """
     known = {"sufficiency", "clustering", "minimality", "orbitope"}
     expand = set(known if "all" in suites else suites)
     bad = expand - known
     if bad:
         raise ValueError(f"unknown suites: {sorted(bad)}")
+    checked = {spec.family.value for spec in _default_specs(0.0)} | {Family.ISING_PMLE.value}
+    if set(families) - checked:
+        raise ValueError(f"unknown families: {sorted(set(families) - checked)}; "
+                         f"valid: {', '.join(sorted(checked))}")
     start = time.perf_counter()
     summary = SuiteSummary(seed=seed)
     rng = np.random.default_rng(seed)

@@ -189,6 +189,14 @@ class TestVerifyCommand:
     def test_bad_sizes(self, tmp_path):
         assert main(["verify", "--sizes", "1", "-o", str(tmp_path / "s.json")]) == 2
 
+    def test_unknown_family_name(self, capsys):
+        # "fps" is the solve --estimator name; verify takes family values
+        assert main(["verify", "--suite", "sufficiency", "--families", "glaso,fps",
+                     "--sizes", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown families: ['fps', 'glaso']" in err
+        assert "valid: fantope_spca, glasso, ising_pmle, positive_invcov, sparse_cov" in err
+
     def test_bad_suite_name(self, tmp_path):
         assert main(["verify", "--suite", "bogus"]) == 2
 

@@ -496,6 +496,59 @@ class TestSolveDispatcher:
         rep = solve(spec, x)
         assert objective_at(spec, x, rep.theta) == pytest.approx(rep.objective, abs=1e-12)
 
+    UNUSABLE_SPECS = {
+        "glasso_positivity": (
+            EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
+            "glasso expects a symmetric_l1 penalty, got offdiag_positivity",
+        ),
+        "positive_invcov_l1": (
+            EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3)),
+            "positive_invcov expects a offdiag_positivity penalty, got symmetric_l1",
+        ),
+        "fantope_spca_without_k": (
+            EstimatorSpec(Family.FANTOPE_SPCA, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3)),
+            "fantope_spca requires k",
+        ),
+        "sparse_cov_without_eps": (
+            EstimatorSpec(Family.SPARSE_COV, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3)),
+            "sparse_cov requires eps",
+        ),
+    }
+    ENTRY_POINTS = {
+        "solve": solve,
+        "solve_decomposed": solve_decomposed,
+        "kkt_residual": lambda spec, x: kkt_residual(spec, x, np.eye(x.p)),
+        "objective_at": lambda spec, x: objective_at(spec, x, np.eye(x.p)),
+        "reduction_for": lambda spec, x: reduction_for(spec),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", sorted(UNUSABLE_SPECS))
+    def test_every_entry_point_checks_the_spec(self, name, entry):
+        """A spec its family cannot use raises the same ValueError from every
+        entry point, instead of a TypeError or a number computed from NaN
+        weights."""
+        spec, message = self.UNUSABLE_SPECS[name]
+        x = random_instance(np.random.default_rng(0), 6)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.ENTRY_POINTS[entry](spec, x)
+
+    @pytest.mark.parametrize("weights", ["matrix", "scalar"])
+    def test_glasso_penalized_diagonal_check_matches_report(self, weights):
+        """kkt_residual and objective_at of a glasso spec with a penalized
+        diagonal reproduce the solver's own certificate and objective."""
+        x = random_instance(np.random.default_rng(4), 8)
+        lam = 0.2
+        if weights == "matrix":
+            w = np.abs(np.random.default_rng(5).standard_normal((8, 8)))
+            lam = 0.2 * (w + w.T)
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                             penalize_diagonal=True, opts=OPTS)
+        rep = solve(spec, x)
+        assert rep.converged and rep.iterations > 0
+        assert kkt_residual(spec, x, rep.theta) == rep.kkt_residual
+        assert objective_at(spec, x, rep.theta) == rep.objective
+
 
 class TestSolveDecomposed:
     def test_matches_direct(self, rng):
