@@ -8,10 +8,15 @@ importing the library from the exported ``src/`` and once from this tree's
 ``src/``.  The set is
 
 - the acceptance battery at seeds 20240817 and 7 (50 instances each):
-  glasso and sparse_cov at the 0.4 and 0.7 off-diagonal quantiles,
-  positive_invcov, and fantope_spca (k = 2), each through ``solve`` and
-  ``solve_decomposed``, with ``kkt_residual`` and ``objective_at`` at the
-  solution and at a perturbed, non-optimal point;
+  glasso and sparse_cov at the 0.4 and 0.7 off-diagonal quantiles, glasso
+  with a penalized diagonal at the 0.7 quantile (its 1x1 blocks have no
+  closed form and go to the solver), positive_invcov, and fantope_spca
+  (k = 2), each through ``solve`` and ``solve_decomposed``, with
+  ``kkt_residual`` and ``objective_at`` at the solution and at a perturbed,
+  non-optimal point;
+- glasso, positive_invcov and Ising on inputs whose blocks are all 1x1, at
+  p = 1 and p = 12, the same way: the closed-form 1x1 solves and the
+  batched 1x1 certificate;
 - Ising pseudo-likelihood at p = 6, 8, 10, 12, the same way;
 - decomposed glasso on one planted p = 500 input (25 blocks) per seed at
   the eight lambdas 0.30 .. 0.66;
@@ -137,6 +142,34 @@ class _Dump:
                 np.fill_diagonal(t, 0.0)
             self.point(f"{key}/{way}/perturbed", spec, x, t)
 
+    def singletons(self, seed: int, opts, pert):
+        """Inputs whose screening partition is all 1x1 blocks: a penalty
+        above every off-diagonal magnitude, or no positive off-diagonal
+        entry for positive_invcov."""
+        from suffreduce.instances import random_instance, sign_instance
+        from suffreduce.penalty import PenaltyKind, PenaltySpec
+
+        Spec, Fam = self.est.EstimatorSpec, self.est.Family
+        gen = np.random.default_rng([seed, 3])
+        for p in (1, 12):
+            a = random_instance(gen, p).dense()
+            diag = np.diag(np.diag(a))
+            lam = 1.01 * float(np.max(np.abs(a - diag))) + 0.1
+            self.matrix_spec(f"singletons/{seed}/{p}/glasso",
+                             Spec(Fam.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                                  opts=opts),
+                             a, pert)
+            self.matrix_spec(f"singletons/{seed}/{p}/positive_invcov",
+                             Spec(Fam.POSITIVE_INVCOV,
+                                  PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), opts=opts),
+                             diag - 0.01 * np.abs(a - diag), pert)
+            xs = sign_instance(gen, p).dense()
+            lam = 1.01 * float(np.max(np.abs(xs - np.diag(np.diag(xs))))) + 0.1
+            self.matrix_spec(f"singletons/{seed}/{p}/ising",
+                             Spec(Fam.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                                  opts=self.est.SolverOptions(tol=1e-10)),
+                             xs, pert)
+
     def run(self) -> dict:
         from suffreduce.instances import random_instance, sign_instance
         from suffreduce.penalty import PenaltyKind, PenaltySpec
@@ -163,6 +196,10 @@ class _Dump:
                                      x, pert)
                     self.matrix_spec(f"{key}/sparse_cov/q{q}",
                                      Spec(Fam.SPARSE_COV, l1(lam), eps=0.01, opts=crit), x, pert)
+                self.matrix_spec(f"{key}/glasso_penalized_diagonal/q0.7",
+                                 Spec(Fam.GLASSO, l1(_quantile(x, 0.7)), penalize_diagonal=True,
+                                      opts=crit),
+                                 x, pert)
                 self.matrix_spec(
                     f"{key}/positive_invcov",
                     Spec(Fam.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY),
@@ -188,6 +225,8 @@ class _Dump:
                                  Spec(Fam.ISING_PMLE, l1(_quantile(xs, 0.5)),
                                       opts=Opts(tol=1e-10)),
                                  xs, pert)
+
+            self.singletons(seed, crit, pert)
 
             xp = random_instance(gen, 500, n_blocks=25, within=0.6, cross=0.05)
             for lam in PLANTED_LAMS:

@@ -23,6 +23,15 @@ the separable families the KKT conditions and the objective split over the
 blocks, so a decomposed solve is certified with one eigendecomposition per
 block, not one of the whole matrix, reading only the input and the point.
 
+At the top of a lambda path most blocks are single coordinates.  glasso,
+positive_invcov and Ising carry the exact 1x1 case of their block residual
+and objective piece as elementwise array functions (``_Record.single``), so
+the check scores all 1x1 blocks as one batch with no eigendecomposition.
+Where the solver's 1x1 result has a closed form that it reproduces bit for
+bit (glasso with an unpenalized diagonal: theta_ii = 1/x_ii; Ising:
+theta_ii = 0), solve_decomposed also solves those blocks as one batch
+instead of calling the solver once per block.
+
 fantope_spca keeps its own ADMM loop and still stops on its ADMM residuals
 rather than on an independent certificate (ROADMAP item 2).
 """
@@ -39,7 +48,7 @@ import numpy as np
 
 from .linkage import Partition
 from .penalty import GroupId, PenaltyKind, PenaltySpec
-from .reductions import ReducedProblem, decompose_blocks, reassemble_blocks, reduce_input
+from .reductions import ReducedProblem, reassemble_blocks, reduce_input
 from .symmat import SymMatrix, as_symmetric
 
 __all__ = [
@@ -274,6 +283,8 @@ def nnls(x) -> np.ndarray:
 def _lambda_matrix(lam, p: int, penalize_diagonal: bool) -> np.ndarray:
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim == 0:
+        if lam_arr < 0:
+            raise ValueError("lam must be nonnegative")
         out = np.full((p, p), float(lam_arr))
         if not penalize_diagonal:
             np.fill_diagonal(out, 0.0)
@@ -307,6 +318,26 @@ def _glasso_kkt(s, lam_mat, z, top=None) -> float:
 
 def _glasso_objective(s, lam_mat, z, w) -> float:  # w: the eigenvalues of z
     return float(-np.sum(np.log(w)) + np.sum(s * z) + np.sum(lam_mat * np.abs(z)))
+
+
+def _glasso_kkt_1x1(d, lam, t, top):
+    """_glasso_kkt on the 1x1 blocks [[d_i]], [[t_i]], all with diagonal
+    weight lam, as one array: inf where t_i <= 0."""
+    pos = t > 0.0
+    e = 1.0 / np.where(pos, t, 1.0) - d
+    r = np.where(_support(t, top), np.abs(e - lam * np.sign(t)), np.maximum(np.abs(e) - lam, 0.0))
+    # _glasso_kkt's running max starts at 0.0, and max(0.0, nan) is 0.0
+    return np.where(pos, np.fmax(r, 0.0), np.inf)
+
+
+def _glasso_closed_1x1(spec, d):
+    """glasso's lam == 0 path on the 1x1 blocks [[d_i]]: theta = 1/d_i,
+    reached where d_i clears the 1e-12 eigenvalue floor.  None when the
+    diagonal carries a penalty, which the solver meets with ADMM."""
+    if _glasso_lam(spec, 1)[0, 0] != 0.0:
+        return None
+    ok = d > 1e-12
+    return 1.0 / np.where(ok, d, 1.0), ok
 
 
 def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
@@ -573,6 +604,13 @@ def _positive_invcov_kkt(s, z, top=None) -> float:
     return worst
 
 
+def _positive_invcov_kkt_1x1(d, t):
+    """_positive_invcov_kkt on the 1x1 blocks [[d_i]], [[t_i]] as one
+    array: |1/t_i - d_i|, inf where t_i <= 0."""
+    pos = t > 0.0
+    return np.where(pos, np.abs(1.0 / np.where(pos, t, 1.0) - d), np.inf)
+
+
 def _positive_invcov_objective(s, z, w) -> float:  # w: the eigenvalues of z
     if w.min() <= 0:
         return np.inf
@@ -658,6 +696,25 @@ def _ising_kkt(moment_minus_s: np.ndarray, lam: float, theta: np.ndarray, top=No
     return worst
 
 
+def _ising_zero_diagonal(t):
+    """Raise as the enumeration of a 1x1 block [[t_i]] does unless t_i == 0."""
+    if np.any(t != 0.0):
+        raise ValueError("interaction matrix must have a zero diagonal")
+
+
+def _ising_pieces_1x1(t):
+    """The enumeration of each 1x1 block [[t_i]]; with t_i == 0 it is the
+    same for all of them."""
+    _ising_zero_diagonal(t)
+    return [ising_logpartition(SymMatrix.wrap(np.zeros((1, 1))))] * t.size
+
+
+def _ising_kkt_1x1(t):
+    """_ising_kkt on 1x1 blocks: no off-diagonal entry, so 0."""
+    _ising_zero_diagonal(t)
+    return np.zeros_like(t)
+
+
 def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> SolveReport:
     """Penalized moment-matching fit of pairwise sign interactions.
 
@@ -717,6 +774,23 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
 # =====================================================================
 
 @dataclass(frozen=True)
+class _Singletons:
+    """A matrix family's 1x1 blocks, handled as one batch.  ``d`` holds
+    their input entries x_ii and ``t`` their theta_ii, in partition order,
+    and each function is the exact 1x1 case of its :class:`_Record`
+    counterpart, elementwise: ``residual(spec, d, t, top)`` the blocks' KKT
+    residuals, ``piece(t)`` the list of their objective pieces, and
+    ``closed(spec, d)`` the solver's solution ``(t, reached)``, where
+    ``reached`` marks the blocks on which the solver returns that t without
+    raising, before its certificate; None if the solver has no closed form
+    for this spec."""
+
+    residual: Callable
+    piece: Callable
+    closed: Callable = lambda spec, d: None
+
+
+@dataclass(frozen=True)
 class _Record:
     """An estimator family: the penalty ``kind`` and spec fields (``needs``)
     it requires, its solver ``run(spec, x)``, its reduction ``group``, and
@@ -726,6 +800,9 @@ class _Record:
     non-entrywise objective term, ``residual(spec, x_bb, theta_bb, top,
     piece)`` its KKT residual, and ``objective(spec, x, theta, pieces)``
     assembles the objective.  ``couples``: the blocks share a constraint.
+    ``single``: the same pieces for all 1x1 blocks at once
+    (:class:`_Singletons`); solve_decomposed and the blockwise check use it
+    in place of a solver call and a block check per singleton.
     """
 
     kind: PenaltyKind
@@ -737,6 +814,7 @@ class _Record:
     needs: tuple[str, ...] = ()
     matrix: bool = True
     couples: bool = False
+    single: _Singletons | None = None
 
 
 def _lasso_kkt(spec, x, theta) -> float:
@@ -803,6 +881,11 @@ _FAMILIES = {
         residual=lambda spec, s, t, top, _: _glasso_kkt(s, _glasso_lam(spec, len(s)), t, top=top),
         objective=lambda spec, s, t, w: _glasso_objective(
             s, _glasso_lam(spec, len(s)), t, np.concatenate(w)),
+        single=_Singletons(
+            residual=lambda spec, d, t, top: _glasso_kkt_1x1(d, _glasso_lam(spec, 1)[0, 0], t, top),
+            piece=lambda t: t[:, None],  # a 1x1 block's spectrum is its entry
+            closed=_glasso_closed_1x1,
+        ),
     ),
     Family.FANTOPE_SPCA: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
@@ -824,6 +907,12 @@ _FAMILIES = {
         piece=lambda t: np.linalg.eigvalsh(t),
         residual=lambda spec, s, t, top, _: _positive_invcov_kkt(s, t, top=top),
         objective=lambda spec, s, t, w: _positive_invcov_objective(s, t, np.concatenate(w)),
+        # no closed form: the solver's 1x1 ADMM stops one iteration in, off
+        # 1/x_ii in the last bits
+        single=_Singletons(
+            residual=lambda spec, d, t, top: _positive_invcov_kkt_1x1(d, t),
+            piece=lambda t: t[:, None],
+        ),
     ),
     Family.ISING_PMLE: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
@@ -832,6 +921,12 @@ _FAMILIES = {
         residual=_ising_block_kkt,
         objective=lambda spec, s, t, lms: _ising_objective(
             s, _lam(spec), t, sum(logz for logz, _ in lms)),
+        single=_Singletons(
+            residual=lambda spec, d, t, top: _ising_kkt_1x1(t),
+            piece=_ising_pieces_1x1,
+            # the solver's start point, certified before its first step
+            closed=lambda spec, d: (np.zeros_like(d), np.full(d.shape, True)),
+        ),
     ),
 }
 
@@ -903,18 +998,26 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
     positive_invcov.  On each block it is the family's residual at (x_bb,
     theta_bb), with support classified against max|theta| over the whole
     matrix, so every partition gives the one-block result up to rounding.
-    No solver state is read.  ``residual=False`` or ``objective=False``
-    skips that half, which then reads None.  Returns (inf, nan) if theta has
-    a non-finite entry or a nonzero entry off the blocks.
+    A family with a ``single`` record checks all its 1x1 blocks as one
+    batch of arrays; their objective pieces keep their place in partition
+    order, so the objective sums in the same order.  No solver state is
+    read.  ``residual=False`` or ``objective=False`` skips that half, which
+    then reads None.  Returns (inf, nan) if theta has a non-finite entry or
+    a nonzero entry off the blocks, or if a residual term is NaN.
     """
     rec = _family(spec)
+    single = rec.single
     s = np.asarray(x, dtype=float)
     td = np.asarray(theta, dtype=float)
-    blocks = [np.ix_(blk, blk) for blk in partition.blocks]
+    # None marks a 1x1 block of the batch
+    blocks = [None if single and len(blk) == 1 else np.ix_(blk, blk) for blk in partition.blocks]
+    ones = np.array([blk[0] for blk, ix in zip(partition.blocks, blocks) if ix is None], dtype=int)
+    general = [ix for ix in blocks if ix is not None]
+    d1, t1 = s[ones, ones], td[ones, ones]
     # max|theta| with no p x p temporary; nan or inf when an entry is
     top = max(float(td.max()), -float(td.min()))
     # theta is zero off the blocks exactly when the blocks hold all its nonzeros
-    in_blocks = sum(np.count_nonzero(td[ix]) for ix in blocks)
+    in_blocks = np.count_nonzero(t1) + sum(np.count_nonzero(td[ix]) for ix in general)
     if not np.isfinite(top) or np.count_nonzero(td) != in_blocks:
         return np.inf, np.nan
     resid = [0.0]
@@ -923,16 +1026,27 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
         # one p x p work array and no masked copies: temporaries whose size
         # varies from solve to solve fragment the heap and raise peak memory
         work = s.copy() if signed else np.abs(s)
-        for ix in blocks:
+        for ix in general:
             work[ix] = 0.0
+        work[ones, ones] = 0.0
         resid.append(max(float(work.max()) - (0.0 if signed else _lam(spec)), 0.0))
         del work
+    if residual and ones.size:
+        resid.append(float(np.max(single.residual(spec, d1, t1, top))))
+    batch = iter(single.piece(t1) if objective and ones.size else ())
     pieces = []
     for ix in blocks:
+        if ix is None:
+            pieces.append(next(batch, None))
+            continue
         t_b = td[ix]
         pieces.append(rec.piece(t_b) if objective else None)
         if residual:
             resid.append(rec.residual(spec, s[ix], t_b, top, pieces[-1]))
+    if residual and np.isnan(resid).any():
+        # max() keeps its first argument against a NaN, so a NaN term would
+        # otherwise vanish from the residual
+        return np.inf, np.nan
     return (max(resid) if residual else None,
             rec.objective(spec, s, td, pieces) if objective else None)
 
@@ -942,13 +1056,18 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
 
     Families whose objective separates over the blocks (all matrix families
     except fantope_spca) solve the blocks one after another in a plain loop.
-    The reassembled theta is certified block by block against the original
-    input (:func:`_separable_check`), which gives :func:`kkt_residual` and
-    :func:`objective_at` up to rounding for one eigendecomposition per
-    block; ``converged`` means that residual is at most
-    ``opts.tol * (1 + max|x|)``.  fantope_spca couples blocks through its
-    trace budget, so it is solved on the whole reduced matrix and certified
-    as one block.
+    A family with a 1x1 closed form (glasso with an unpenalized diagonal:
+    theta_ii = 1/x_ii; Ising: theta_ii = 0) solves its 1x1 blocks first, as
+    one batch of arrays, and certifies them as its solver would; a 1x1
+    block the closed form does not reach or certify goes to the solver like
+    any other block.  The batch's blocks report 0 iterations and an equal
+    share of its seconds.  The reassembled theta is certified block by
+    block against the original input (:func:`_separable_check`), which gives
+    :func:`kkt_residual` and :func:`objective_at` up to rounding for one
+    eigendecomposition per block of two or more coordinates; ``converged``
+    means that residual is at most ``opts.tol * (1 + max|x|)``.
+    fantope_spca couples blocks through its trace budget, so it is solved on
+    the whole reduced matrix and certified as one block.
     """
     rec = _family(spec)
     if not rec.matrix:
@@ -962,16 +1081,37 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
         return SolveReport(rep.theta, objective_at(spec, xm, rep.theta), kkt, rep.iterations,
                            rep.converged, rep.support)
 
-    results = []
-    for blk, sub in decompose_blocks(rp.reduced, rp.partition):
-        start = time.perf_counter()
-        rep = solve(spec, sub)
-        results.append((blk, rep, time.perf_counter() - start))
+    reduced = np.asarray(rp.reduced)
+    start = time.perf_counter()
+    ones = np.array([blk[0] for blk in rp.partition.blocks if len(blk) == 1], dtype=int)
+    d1 = reduced[ones, ones]
+    closed = rec.single.closed(spec, d1) if rec.single and ones.size else None
+    pieces, batch = [], np.zeros(xm.p, dtype=bool)
+    if closed is not None:
+        t1, reached = closed
+        # the solver's own test: its residual, at top = max|theta_bb|, within
+        # tol times its block's scale
+        ok = reached & (rec.single.residual(spec, d1, t1, np.abs(t1))
+                        <= spec.opts.tol * (1.0 + np.abs(d1)))
+        if ok.any():
+            pieces.append((tuple(ones[ok].tolist()), t1[ok]))
+            batch[ones[ok]] = True
+    share = (time.perf_counter() - start) / max(int(batch.sum()), 1)
 
-    theta = reassemble_blocks(xm.p, [(blk, rep.theta) for blk, rep, _ in results])
-    stats = tuple(BlockStat(blk, rep.iterations, sec) for blk, rep, sec in results)
+    stats, reps = [], []
+    for blk in rp.partition.blocks:
+        if len(blk) == 1 and batch[blk[0]]:
+            stats.append(BlockStat(blk, 0, share))
+            continue
+        start = time.perf_counter()
+        rep = solve(spec, SymMatrix.wrap(reduced[np.ix_(blk, blk)]))
+        stats.append(BlockStat(blk, rep.iterations, time.perf_counter() - start))
+        pieces.append((blk, rep.theta))
+        reps.append(rep)
+
+    theta = reassemble_blocks(xm.p, pieces)
     kkt, objective = _separable_check(spec, xm, theta, rp.partition)
-    converged = (all(rep.converged for _, rep, _ in results)
+    converged = (all(rep.converged for rep in reps)
                  and kkt <= spec.opts.tol * _scale(np.asarray(xm)))
-    return SolveReport(theta, objective, kkt, sum(rep.iterations for _, rep, _ in results),
-                       converged, _support(np.asarray(theta)), stats)
+    return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),
+                       converged, _support(np.asarray(theta)), tuple(stats))

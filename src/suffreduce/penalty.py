@@ -38,8 +38,9 @@ GROUP_INVARIANT_KINDS = {
 class PenaltySpec:
     """Penalty description: kind plus whatever weights the kind needs.
 
-    weights: nonnegative scalar or per-coordinate/per-block array; unused
-    for the cone kinds.  blocks: required for GROUP_L2 only.
+    weights: nonnegative scalar or per-coordinate/per-block array (inf is
+    allowed, NaN is not); unused for the cone kinds.  blocks: required for
+    GROUP_L2 only.
     """
 
     kind: PenaltyKind
@@ -50,7 +51,8 @@ class PenaltySpec:
         if self.kind in (PenaltyKind.ENTRYWISE_L1, PenaltyKind.SYMMETRIC_L1):
             if self.weights is None:
                 raise ValueError(f"{self.kind.value} requires weights")
-            if np.any(np.asarray(self.weights) < 0):
+            # a NaN weight fails this too: it is neither >= 0 nor < 0
+            if not np.all(np.asarray(self.weights) >= 0):
                 raise ValueError("penalty weights must be nonnegative")
         elif self.kind is PenaltyKind.GROUP_L2:
             if self.blocks is None or self.weights is None:
@@ -59,7 +61,7 @@ class PenaltySpec:
                 self.blocks.blocks
             ):
                 raise ValueError("need one weight per block")
-            if np.any(np.asarray(self.weights) < 0):
+            if not np.all(np.asarray(self.weights) >= 0):
                 raise ValueError("penalty weights must be nonnegative")
         elif self.kind in (PenaltyKind.POSITIVE_CONE, PenaltyKind.OFFDIAG_POSITIVITY):
             if self.weights is not None:

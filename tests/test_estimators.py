@@ -7,6 +7,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from suffreduce.estimators import (
+    _FAMILIES,
     ConvergenceError,
     EstimatorSpec,
     Family,
@@ -191,6 +192,12 @@ class TestGlasso:
         lam = np.array([[0.0, 0.95], [0.95, 0.0]])
         rep = glasso(sym([[1.0, 0.9], [0.9, 1.0]]), lam, OPTS)
         assert np.allclose(rep.theta.dense(), np.eye(2), atol=1e-8)
+
+    @pytest.mark.parametrize("lam", [-0.3, -np.inf])
+    def test_negative_scalar_penalty_rejected(self, lam):
+        # it used to run 10,000 iterations and raise ConvergenceError
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            glasso(sym([[1.0, 0.5], [0.5, 1.0]]), lam, OPTS)
 
     def test_unpenalized_nonpositive_diagonal_rejected(self):
         with pytest.raises(NoSolutionError):
@@ -656,6 +663,23 @@ class TestSolveDecomposed:
         theta[0, 0] = np.nan
         assert _separable_check(spec, x, theta, partition)[0] == np.inf
 
+    def test_nan_penalty_never_certifies(self):
+        """A NaN weight that gets past PenaltySpec (set after construction)
+        makes every block a singleton and the screening term NaN; the check
+        returns (inf, nan) instead of dropping that term, and
+        solve_decomposed refuses the weight when it screens."""
+        penalty = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1)
+        object.__setattr__(penalty, "weights", float("nan"))
+        spec = EstimatorSpec(Family.GLASSO, penalty, opts=OPTS)
+        x = random_instance(np.random.default_rng(0), 6)
+        partition = threshold_components(x, float("nan"))
+        assert len(partition.blocks) == 6
+        theta = np.diag(1.0 / np.diag(x.dense()))
+        kkt, objective = _separable_check(spec, x, theta, partition)
+        assert kkt == np.inf and np.isnan(objective)
+        with pytest.raises(ValueError, match="penalty weights must be nonnegative"):
+            solve_decomposed(spec, x)
+
     @pytest.mark.parametrize("family, expected", [
         (Family.GLASSO, 0.4),  # max(|x_ij| - 0.1, 0) over x_01 = 0.3, x_02 = -0.5
         (Family.POSITIVE_INVCOV, 0.3),  # max(x_ij, 0) over the same two edges
@@ -694,3 +718,140 @@ class TestSolveDecomposed:
             objective += direct.objective
             start += len(piece)
         assert rep.objective == pytest.approx(objective, rel=1e-12)
+
+
+class TestSingletonBatch:
+    """solve_decomposed and the blockwise check handle the 1x1 blocks of a
+    family with a 1x1 form as one batch; it must match the per-block
+    solver and certificate bit for bit."""
+
+    @staticmethod
+    def _all_singletons(p=12, seed=0):
+        # off-diagonal entries all below the penalty: every block is 1x1
+        x = random_instance(np.random.default_rng(seed), p)
+        lam = 1.01 * float(np.max(np.abs(x.dense() - np.diag(np.diag(x.dense())))))
+        return x, lam
+
+    def test_glasso_all_singletons_closed_form(self):
+        x, lam = self._all_singletons()
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam), opts=OPTS)
+        rep = solve_decomposed(spec, x)
+        assert np.array_equal(rep.theta.dense(), np.diag(1.0 / np.diag(x.dense())))
+        assert rep.iterations == 0 and rep.converged
+        assert [b.indices for b in rep.blocks] == [(i,) for i in range(x.p)]
+        assert all(b.iterations == 0 for b in rep.blocks)
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        assert abs(rep.kkt_residual - kkt_residual(spec, x, rep.theta)) <= 1e-12 * scale
+        assert abs(rep.objective - objective_at(spec, x, rep.theta)) <= 1e-12 * scale
+        for (i,), sub in decompose_blocks(x, threshold_components(x, lam)):
+            direct = solve(spec, sub)
+            assert direct.iterations == 0
+            assert direct.theta.dense()[0, 0] == rep.theta.entry(i, i)
+
+    # hand-built 1x1 blocks, checked against top = 100 (support cutoff 1e-6):
+    # positive on the support, positive below the cutoff, zero, negative
+    D = np.array([0.5, 3.0, 1.0, 2.0, 0.7])
+    T = np.array([2.0, 1e-7, 0.0, -0.5, 1.3])
+    TOP = 100.0
+
+    @pytest.mark.parametrize("family, penalty, diag", [
+        (Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), False),
+        (Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), True),
+        (Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 1e9), True),
+        (Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), False),
+    ])
+    def test_batch_residual_and_piece_are_the_block_ones(self, family, penalty, diag):
+        spec = EstimatorSpec(family, penalty, penalize_diagonal=diag)
+        rec = _FAMILIES[family]
+        batch = rec.single.residual(spec, self.D, self.T, self.TOP)
+        pieces = rec.single.piece(self.T)
+        for i, (d, t) in enumerate(zip(self.D, self.T)):
+            s_b, t_b = np.array([[d]]), np.array([[t]])
+            piece = rec.piece(t_b)
+            assert batch[i] == rec.residual(spec, s_b, t_b, self.TOP, piece)
+            assert np.array_equal(pieces[i], piece)
+        assert np.all(np.isinf(batch[self.T <= 0.0]))
+
+    def test_ising_batch_residual_and_piece_are_the_block_ones(self):
+        spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2))
+        rec = _FAMILIES[Family.ISING_PMLE]
+        t = np.zeros_like(self.D)
+        batch = rec.single.residual(spec, self.D, t, self.TOP)
+        pieces = rec.single.piece(t)
+        for i, d in enumerate(self.D):
+            s_b, t_b = np.array([[d]]), np.zeros((1, 1))
+            logz, moment = rec.piece(t_b)
+            assert batch[i] == rec.residual(spec, s_b, t_b, self.TOP, (logz, moment))
+            assert pieces[i][0] == logz and pieces[i][1] == moment
+        # a nonzero diagonal is refused as the enumeration refuses it
+        with pytest.raises(ValueError, match="zero diagonal"):
+            rec.residual(spec, np.eye(1), np.eye(1), 1.0, None)
+        for part in (rec.single.residual, lambda spec, d, t, top: rec.single.piece(t)):
+            with pytest.raises(ValueError, match="zero diagonal"):
+                part(spec, self.D, self.T, self.TOP)
+
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV])
+    def test_scaled_singleton_fails_the_check(self, family):
+        x, lam = self._all_singletons()
+        penalty = (PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam) if family is Family.GLASSO
+                   else PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY))
+        spec = EstimatorSpec(family, penalty, opts=OPTS)
+        if family is Family.POSITIVE_INVCOV:
+            x = SymMatrix.wrap(np.diag(np.diag(x.dense())))  # every block 1x1
+        rep = solve_decomposed(spec, x)
+        assert rep.converged and len(rep.blocks) == x.p
+        theta = rep.theta.dense()
+        theta[3, 3] *= 1.01
+        partition = reduce_input(*reduction_for(spec), x).partition
+        kkt, _ = _separable_check(spec, x, theta, partition)
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        assert kkt > spec.opts.tol * scale
+        assert abs(kkt - kkt_residual(spec, x, theta)) <= 1e-12 * scale
+
+    def test_penalized_diagonal_singletons_take_the_solver(self):
+        x, lam = self._all_singletons()
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                             penalize_diagonal=True, opts=OPTS)
+        rep = solve_decomposed(spec, x)
+        assert rep.converged and rep.iterations > 0
+        for stat, (blk, sub) in zip(rep.blocks, decompose_blocks(x, threshold_components(x, lam))):
+            direct = solve(spec, sub)
+            assert stat.indices == blk and stat.iterations == direct.iterations
+            assert direct.theta.dense()[0, 0] == rep.theta.entry(blk[0], blk[0])
+
+    def test_closed_form_falls_back_to_the_solver(self):
+        """A 1x1 block the closed form does not reach raises what the solver
+        raises: a diagonal at the 1e-12 floor, or a certificate above a
+        tolerance finer than 1/(1/x_ii)'s rounding."""
+        penalty = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.5)
+        spec = EstimatorSpec(Family.GLASSO, penalty, opts=OPTS)
+        with pytest.raises(NoSolutionError, match="lam=0 needs a positive definite input"):
+            solve_decomposed(spec, SymMatrix.wrap(np.diag([1.0, 1e-13, 2.0])))
+        d = np.array([1.0, 3.0, 7.0, 49.0, 10.0])
+        assert np.any(1.0 / (1.0 / d) != d)
+        fine = EstimatorSpec(Family.GLASSO, penalty, opts=SolverOptions(tol=1e-300))
+        with pytest.raises(ConvergenceError, match="glasso: KKT residual"):
+            solve_decomposed(fine, SymMatrix.wrap(np.diag(d)))
+
+    def test_ising_singletons_match_ising_pmle(self):
+        rng = np.random.default_rng(2)
+        pieces = [sign_instance(rng, n).dense() for n in (4, 1, 3, 1, 1)]
+        x = SymMatrix.wrap(block_diag(*pieces))
+        spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                             opts=SolverOptions(tol=1e-10))
+        rep = solve_decomposed(spec, x)
+        assert [len(b.indices) for b in rep.blocks] == [4, 1, 3, 1, 1]
+        assert rep.converged
+        theta = rep.theta.dense()
+        logz = 0
+        start = 0
+        for piece, stat in zip(pieces, rep.blocks):
+            direct = ising_pmle(SymMatrix.wrap(piece), 0.05, spec.opts)
+            idx = slice(start, start + len(piece))
+            assert np.array_equal(theta[idx, idx], direct.theta.dense())
+            assert stat.iterations == direct.iterations
+            logz += ising_logpartition(direct.theta)[0]
+            start += len(piece)
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        assert abs(rep.kkt_residual - kkt_residual(spec, x, rep.theta)) <= 1e-12 * scale
+        assert rep.objective == pytest.approx(objective_at(spec, x, rep.theta), rel=1e-12)

@@ -241,3 +241,31 @@ class TestBlockDecomposition:
             decompose_blocks(x, Partition.from_blocks([(0, 1)], 2))
         with pytest.raises(ValueError):
             reassemble_blocks(3, [((0, 1), SymMatrix.from_dense(np.eye(2)))])
+
+    def test_diagonal_piece(self):
+        """A 1-d piece is a diagonal block: its entries land on the
+        diagonal at its indices, and nothing else is written."""
+        raw = np.arange(9, dtype=float).reshape(3, 3)
+        pieces = [((0, 2), np.array([1.5, -2.0])), ((1,), (raw + raw.T)[1:2, 1:2])]
+        back = reassemble_blocks(3, pieces).dense()
+        assert np.array_equal(back, np.diag([1.5, 8.0, -2.0]))
+        with pytest.raises(ValueError, match="block size mismatch"):
+            reassemble_blocks(3, [((0, 1, 2), np.ones(2))])
+        with pytest.raises(ValueError, match="blocks overlap"):
+            reassemble_blocks(3, [((0, 1), np.ones(2)), ((1, 2), np.ones(2))])
+
+
+class TestPenaltySpec:
+    @pytest.mark.parametrize("kind", [PenaltyKind.SYMMETRIC_L1, PenaltyKind.ENTRYWISE_L1])
+    @pytest.mark.parametrize("weights", [np.nan, -0.1, np.array([0.5, np.nan])])
+    def test_nan_or_negative_weight_rejected(self, kind, weights):
+        with pytest.raises(ValueError, match="penalty weights must be nonnegative"):
+            PenaltySpec(kind, weights)
+
+    def test_group_nan_weight_rejected(self):
+        blocks = Partition.from_blocks([(0, 1), (2,)], 3)
+        with pytest.raises(ValueError, match="penalty weights must be nonnegative"):
+            PenaltySpec(PenaltyKind.GROUP_L2, (1.0, np.nan), blocks=blocks)
+
+    def test_infinite_weight_accepted(self):
+        assert PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.inf).scalar_weight() == np.inf
