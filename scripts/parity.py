@@ -20,6 +20,11 @@ importing the library from the exported ``src/`` and once from this tree's
 - Ising pseudo-likelihood at p = 6, 8, 10, 12, the same way;
 - decomposed glasso on one planted p = 500 input (25 blocks) per seed at
   the eight lambdas 0.30 .. 0.66;
+- glasso (lambda 0.3), sparse_cov (eps 0.5, lambda 0.3) and positive_invcov,
+  the same way, on one planted p = 200 input per seed with ten 20x20 blocks
+  (its off-block entries made nonpositive for positive_invcov): decomposed
+  solves that run ten blocks as one stack, which they leave at different
+  iterations;
 - glasso with a symmetric weight matrix, with and without a penalized
   diagonal, and lasso and nnls, through ``solve``, ``kkt_residual`` and
   ``objective_at``;
@@ -170,6 +175,23 @@ class _Dump:
                                   opts=self.est.SolverOptions(tol=1e-10)),
                              xs, pert)
 
+    def stacks(self, seed: int, pert):
+        """Inputs whose screening partition is ten 20x20 blocks, which a
+        decomposed solve runs as one stack."""
+        from suffreduce.instances import random_instance
+        from suffreduce.penalty import PenaltyKind, PenaltySpec
+
+        Spec, Fam = self.est.EstimatorSpec, self.est.Family
+        x = random_instance(np.random.default_rng(seed), 200, n_blocks=10, within=0.6, cross=0.0)
+        l1 = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3)
+        self.matrix_spec(f"stacks/{seed}/glasso", Spec(Fam.GLASSO, l1), x, pert)
+        self.matrix_spec(f"stacks/{seed}/sparse_cov", Spec(Fam.SPARSE_COV, l1, eps=0.5), x, pert)
+        block = np.arange(200) // 20
+        d = x.dense()
+        self.matrix_spec(f"stacks/{seed}/positive_invcov",
+                         Spec(Fam.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
+                         np.where(block[:, None] == block[None, :], d, -np.abs(d)), pert)
+
     def run(self) -> dict:
         from suffreduce.instances import random_instance, sign_instance
         from suffreduce.penalty import PenaltyKind, PenaltySpec
@@ -227,6 +249,7 @@ class _Dump:
                                  xs, pert)
 
             self.singletons(seed, crit, pert)
+            self.stacks(seed, pert)
 
             xp = random_instance(gen, 500, n_blocks=25, within=0.6, cross=0.05)
             for lam in PLANTED_LAMS:

@@ -248,6 +248,12 @@ def _cmd_bench(args) -> int:
     print(f"bench: direct {payload['seconds_direct']:.2f}s, "
           f"decomposed {payload['seconds_decomposed']:.2f}s, "
           f"speedup {payload['speedup']:.1f}x, deviation {deviation:.2e}")
+    for way, report in (("direct", direct), ("decomposed", decomposed)):
+        if not report.converged:
+            raise ConvergenceError(
+                f"{way} {args.estimator}: kkt residual {report.kkt_residual:.3e} after "
+                f"{report.iterations} iterations"
+            )
     return EXIT_OK
 
 

@@ -4,6 +4,10 @@ glasso, sparse_cov and positive_invcov run on one ADMM driver, :func:`_admm`
 (one smooth/constrained proximal step, one soft-threshold or projection step,
 scaled dual update, over-relaxation and residual-balanced rho); each solver
 supplies only its two proximal maps, its start point and its certificate.
+The driver runs a stack of same-size problems in lockstep on (B, n, n)
+arrays, with one stacked eigendecomposition per iteration; every step is
+entrywise or per matrix, so each problem follows the iterates it would
+follow alone, bit for bit, and a direct solve is a stack of one.
 Convergence is declared only when an independently recomputed KKT residual
 at the reported point falls below ``opts.tol * (1 + max|input|)``; the same
 residual functions are exposed for verification, so the certificate never
@@ -22,6 +26,8 @@ partition, kkt_residual and objective_at on the one-block partition.  For
 the separable families the KKT conditions and the objective split over the
 blocks, so a decomposed solve is certified with one eigendecomposition per
 block, not one of the whole matrix, reading only the input and the point.
+The ADMM families also solve the blocks that way: solve_decomposed hands
+all blocks of one size to the family's solver as one stack.
 
 At the top of a lambda path most blocks are single coordinates.  glasso,
 positive_invcov and Ising carry the exact 1x1 case of their block residual
@@ -189,53 +195,111 @@ def _certificate(residual):
     return checked
 
 
-def _admm(name, prox_f, prox_g, z0, certify, opts: SolverOptions, tol: float):
-    """Over-relaxed scaled ADMM with residual-balanced rho for
-    min f(theta) + g(z) s.t. theta = z (Boyd et al. 2011, sec. 3.4.1).
+def _scales(s) -> np.ndarray:
+    """_scale of each member of a stack (B, n, n)."""
+    return 1.0 + np.max(np.abs(s), axis=(-2, -1))
 
-    ``prox_f(v, rho)`` and ``prox_g(a, rho)`` return argmin f + rho/2 |. - v|^2
-    and argmin g + rho/2 |. - a|^2.  ``certify(theta, z)`` returns (residual,
-    reported point) and runs every ``opts.check_every`` iterations, at the
-    last iteration, and, at most once in each window of ``check_every``
-    iterations, at the first iteration whose primal and dual residual norms
-    |theta - z|_F and rho |z - z_old|_F are both <= tol (sec. 3.3.1).  A
-    Frobenius norm is at least the largest entry, the scale ``tol`` is
-    stated in, so that trigger is conservative; the window bound keeps a
-    stalled solve from certifying on every iteration.  The certificate is
-    the only stopping rule and leaves the iterates and rho untouched: the
-    first point whose residual is <= tol is returned as (point, residual,
-    iterations).  Raises ConvergenceError otherwise.
+
+def _norms(a) -> np.ndarray:
+    """Frobenius norm of each member of a stack (B, n, n), computed as
+    np.linalg.norm computes it for one matrix: the root of one dot product."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _diag(d) -> np.ndarray:
+    """The stack (B, n, n) of diagonal matrices with the rows of d."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    i = np.arange(d.shape[-1])
+    out[:, i, i] = d
+    return out
+
+
+def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol):
+    """Over-relaxed scaled ADMM with residual-balanced rho for B independent
+    problems min f_b(theta) + g(z) s.t. theta = z (Boyd et al. 2011, sec.
+    3.4.1), run in lockstep on stacked arrays.
+
+    ``x`` (B, n, n) holds the problems' inputs, ``z0`` their start points and
+    ``tol`` their tolerances.  ``prox_f(v, rho, x)`` and ``prox_g(a, rho)``
+    return argmin f + rho/2 |. - v|^2 and argmin g + rho/2 |. - a|^2 for the
+    stack of problems still running, given their inputs x and their rho as
+    one float when they share it, else as a (B, 1, 1) column.  Each step is
+    entrywise or per matrix, so every problem follows the iterates it would
+    follow alone.  rho, the residual norms, the window and the exit
+    iteration are kept per problem.  ``certify(x_b, theta_b, z_b)`` returns
+    one problem's (residual, reported point) and runs every
+    ``opts.check_every`` iterations, at the last iteration, and, at most once
+    in each window of ``check_every`` iterations, at the first iteration
+    whose primal and dual residual norms |theta - z|_F and rho |z - z_old|_F
+    are both <= tol (sec. 3.3.1).  A Frobenius norm is at least the largest
+    entry, the scale ``tol`` is stated in, so that trigger is conservative;
+    the window bound keeps a stalled solve from certifying on every
+    iteration.  The certificate is the only stopping rule and leaves the
+    iterates and rho untouched: a problem leaves the stack at the first point
+    whose residual is <= its tol and is not certified again.  Returns
+    [(point, residual, iterations)] in stack order.  Raises ConvergenceError
+    if a problem is still running after ``opts.max_iter`` iterations.
     """
-    rho = opts.rho
     alpha = opts.over_relax
+    adapt = opts.adapt_rho
     z = z0
     u = np.zeros_like(z0)
-    early_window = -1
+    # per running problem: its stack position, tol, rho and the window of
+    # its last early check
+    live = list(range(len(z0)))
+    tol = list(tol)
+    rho = [float(opts.rho)] * len(z0)
+    early = [-1] * len(z0)
+    rho_arg = rho[0]
+    out = [None] * len(z0)
     for it in range(1, opts.max_iter + 1):
-        theta = prox_f(z - u, rho)
+        theta = prox_f(z - u, rho_arg, x)
         z_old = z
         th_hat = alpha * theta + (1.0 - alpha) * z_old
-        z = prox_g(th_hat + u, rho)
+        z = prox_g(th_hat + u, rho_arg)
         u = u + th_hat - z
-        r_norm = float(np.linalg.norm(theta - z))
-        s_norm = rho * float(np.linalg.norm(z - z_old))
+        r_norms = _norms(theta - z).tolist()
+        steps = _norms(z - z_old).tolist()
         window = (it - 1) // opts.check_every
-        early = max(r_norm, s_norm) <= tol and window != early_window
-        if early:
-            early_window = window
-        if early or it % opts.check_every == 0 or it == opts.max_iter:
-            resid, point = certify(theta, z)
-            if resid <= tol:
-                return point, resid, it
-        if opts.adapt_rho:
-            if r_norm > 10.0 * s_norm and rho < 1e5:
-                rho *= 2.0
-                u /= 2.0
-            elif s_norm > 10.0 * r_norm and rho > 1e-3:
-                rho /= 2.0
-                u *= 2.0
+        cadence = it % opts.check_every == 0 or it == opts.max_iter
+        gone = []
+        moved = False
+        for k, (r_norm, step, rho_k, tol_k) in enumerate(zip(r_norms, steps, rho, tol)):
+            s_norm = rho_k * step
+            due = cadence
+            if max(r_norm, s_norm) <= tol_k and window != early[k]:
+                early[k] = window
+                due = True
+            if due:
+                resid, point = certify(x[k], theta[k], z[k])
+                if resid <= tol_k:
+                    out[live[k]] = (point.copy(), resid, it)
+                    gone.append(k)
+                    continue
+            if adapt:
+                if r_norm > 10.0 * s_norm and rho_k < 1e5:
+                    rho[k] = rho_k * 2.0
+                    u[k] /= 2.0
+                    moved = True
+                elif s_norm > 10.0 * r_norm and rho_k > 1e-3:
+                    rho[k] = rho_k / 2.0
+                    u[k] *= 2.0
+                    moved = True
+        if gone:
+            if len(gone) == len(live):
+                return out
+            keep = [k for k in range(len(live)) if k not in gone]
+            x, z, u = x[keep], z[keep], u[keep]
+            live, tol, rho, early = ([v[k] for k in keep] for v in (live, tol, rho, early))
+            moved = True
+        if moved:
+            # a shared rho goes as a float: a (B, 1, 1) column costs about a
+            # microsecond more per entrywise step, which a stack of one would
+            # pay on every iteration
+            rho_arg = rho[0] if rho.count(rho[0]) == len(rho) else np.array(rho)[:, None, None]
     raise ConvergenceError(
-        f"{name} did not reach tol {tol:.3e} in {opts.max_iter} iterations"
+        f"{name} did not reach tol {tol[0]:.3e} in {opts.max_iter} iterations"
     )
 
 
@@ -245,16 +309,20 @@ def _require_certified(name, resid, tol):
         raise ConvergenceError(f"{name}: KKT residual {resid:.3e} above tol {tol:.3e}")
 
 
-def _logdet_prox(s):
-    """prox_f for f(theta) = -log det(theta) + <s, theta>: one
-    eigendecomposition, eigenvalues mapped to the positive root."""
-    def prox(v, rho):
-        w, q = np.linalg.eigh(rho * v - s)
-        gamma = (w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho)
-        theta = (q * gamma) @ q.T
-        return (theta + theta.T) / 2.0
+def _spectral(q, gamma):
+    """q diag(gamma) q^T, symmetrized, for eigenvectors q (..., n, n) and
+    values gamma that broadcast against the rows of q: (n,) for one
+    matrix, (B, 1, n) for a stack."""
+    out = (q * gamma) @ q.mT
+    return (out + out.mT) / 2.0
 
-    return prox
+
+def _logdet_prox(v, rho, s):
+    """prox_f for f(theta) = -log det(theta) + <s, theta> on a stack: one
+    eigendecomposition per matrix, eigenvalues mapped to the positive root."""
+    w, q = np.linalg.eigh(rho * v - s)
+    w = w[..., None, :]
+    return _spectral(q, (w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho))
 
 
 # =====================================================================
@@ -354,35 +422,47 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
     """
     opts = opts or SolverOptions()
     s = x.dense()
-    p = x.p
-    lam_mat = _lambda_matrix(lam, p, penalize_diagonal)
-    if np.any((np.diag(lam_mat) == 0.0) & (np.diag(s) <= 0.0)):
+    lam_mat = _lambda_matrix(lam, x.p, penalize_diagonal)
+    [(theta, kkt, it)] = _glasso_stack(s[None], lam_mat, opts)
+    return _report_matrix(theta, _glasso_objective(s, lam_mat, theta, np.linalg.eigvalsh(theta)),
+                          kkt, it, True)
+
+
+def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
+    """glasso on a stack of inputs s (B, p, p) that share the weight matrix
+    lam_mat: [(theta, kkt, iterations)] in stack order.  With no penalty at
+    all, theta is the inverse of each input, which must certify."""
+    d = np.diagonal(s, axis1=-2, axis2=-1)
+    if np.any((np.diag(lam_mat) == 0.0) & (d <= 0.0)):
         raise NoSolutionError(
             "unpenalized diagonal requires strictly positive input diagonal"
         )
-    if not lam_mat.any():
-        wv, q = np.linalg.eigh(s)
+    tol = opts.tol * _scales(s)
+    if lam_mat.any():
+        lam_3d = lam_mat[None]  # a (p, p) operand broadcast against a stack is slower
+        return _admm(
+            "glasso",
+            s,
+            _diag(1.0 / np.clip(d, 1e-8, None)),
+            _logdet_prox,
+            lambda a, rho: _soft(a, lam_3d / rho),
+            lambda s_b, theta, z: (_glasso_kkt(s_b, lam_mat, z), z),
+            opts,
+            tol,
+        )
+    out = []
+    for s_b, tol_b in zip(s, tol):
+        wv, q = np.linalg.eigh(s_b)
         if wv[0] <= 1e-12:
             raise NoSolutionError(
                 f"lam=0 needs a positive definite input (min eig {wv[0]:.3e})"
             )
         theta = (q / wv) @ q.T
         theta = (theta + theta.T) / 2.0
-        kkt = _glasso_kkt(s, lam_mat, theta)
-        _require_certified("glasso", kkt, opts.tol * _scale(s))
-        return _report_matrix(theta, _glasso_objective(s, lam_mat, theta, np.linalg.eigvalsh(theta)),
-                              kkt, 0, True)
-
-    z, kkt, it = _admm(
-        "glasso",
-        _logdet_prox(s),
-        lambda a, rho: _soft(a, lam_mat / rho),
-        np.diag(1.0 / np.clip(np.diag(s), 1e-8, None)),
-        lambda theta, z: (_glasso_kkt(s, lam_mat, z), z),
-        opts,
-        opts.tol * _scale(s),
-    )
-    return _report_matrix(z, _glasso_objective(s, lam_mat, z, np.linalg.eigvalsh(z)), kkt, it, True)
+        kkt = _glasso_kkt(s_b, lam_mat, theta)
+        _require_certified("glasso", kkt, tol_b)
+        out.append((theta, kkt, 0))
+    return out
 
 
 # =====================================================================
@@ -415,9 +495,7 @@ def _fantope_project_dense(a: np.ndarray, k: int) -> np.ndarray:
         # would need t[0] >= p, which rounding can break
         return np.eye(p)
     w, q = np.linalg.eigh(a)
-    gamma = np.clip(w - _fantope_shift(w, k), 0.0, 1.0)
-    out = (q * gamma) @ q.T
-    return (out + out.T) / 2.0
+    return _spectral(q, np.clip(w - _fantope_shift(w, k), 0.0, 1.0))
 
 
 def fantope_project(w: SymMatrix, k: int) -> SymMatrix:
@@ -514,9 +592,9 @@ def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = 
 # =====================================================================
 
 def _spectral_floor(a: np.ndarray, eps: float) -> np.ndarray:
+    """Eigenvalues of each matrix in a (..., n, n) raised to at least eps."""
     w, q = np.linalg.eigh(a)
-    out = (q * np.maximum(w, eps)) @ q.T
-    return (out + out.T) / 2.0
+    return _spectral(q, np.maximum(w, eps)[..., None, :])
 
 
 @_certificate
@@ -560,27 +638,42 @@ def sparse_cov(x: SymMatrix, lam: float, eps: float, opts: SolverOptions | None 
     threshold and reports the floored iterate (feasible by construction).
     """
     opts = opts or SolverOptions()
+    s = x.dense()
+    [(theta, kkt, it)] = _sparse_cov_stack(s[None], lam, eps, opts)
+    return _report_matrix(theta, _sparse_cov_objective(s, lam, theta), kkt, it, True)
+
+
+def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
+    """sparse_cov on a stack of inputs s (B, p, p): [(theta, kkt,
+    iterations)] in stack order.  The inputs whose soft threshold clears
+    the floor take it, and the others run ADMM as one stack."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if eps <= 0:
         raise ValueError("eigenvalue floor eps must be positive")
-    s = x.dense()
     direct = _soft(s, lam)
-    if np.linalg.eigvalsh(direct)[0] >= eps:
-        kkt = _sparse_cov_kkt(s, lam, eps, direct)
-        _require_certified("sparse_cov", kkt, opts.tol * _scale(s))
-        return _report_matrix(direct, _sparse_cov_objective(s, lam, direct), kkt, 0, True)
-
-    theta, kkt, it = _admm(
-        "sparse_cov",
-        lambda v, rho: _spectral_floor((s + rho * v) / (1.0 + rho), eps),
-        lambda a, rho: _soft(a, lam / rho),
-        _spectral_floor(direct, eps),
-        lambda theta, z: (_sparse_cov_kkt(s, lam, eps, theta), theta),
-        opts,
-        opts.tol * _scale(s),
-    )
-    return _report_matrix(theta, _sparse_cov_objective(s, lam, theta), kkt, it, True)
+    tol = opts.tol * _scales(s)
+    feasible = np.linalg.eigvalsh(direct)[:, 0] >= eps
+    out = [None] * len(s)
+    for b in np.flatnonzero(feasible):
+        kkt = _sparse_cov_kkt(s[b], lam, eps, direct[b])
+        _require_certified("sparse_cov", kkt, tol[b])
+        out[b] = (direct[b], kkt, 0)
+    rest = np.flatnonzero(~feasible)
+    if rest.size:
+        solved = _admm(
+            "sparse_cov",
+            s[rest],
+            _spectral_floor(direct[rest], eps),
+            lambda v, rho, s_live: _spectral_floor((s_live + rho * v) / (1.0 + rho), eps),
+            lambda a, rho: _soft(a, lam / rho),
+            lambda s_b, theta, z: (_sparse_cov_kkt(s_b, lam, eps, theta), theta),
+            opts,
+            tol[rest],
+        )
+        for b, result in zip(rest, solved):
+            out[b] = result
+    return out
 
 
 # =====================================================================
@@ -627,19 +720,27 @@ def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveRep
     """
     opts = opts or SolverOptions()
     s = x.dense()
-    if np.any(np.diag(s) <= 0.0):
-        raise NoSolutionError("input diagonal must be strictly positive")
-    off_mask = ~np.eye(x.p, dtype=bool)
-    z, kkt, it = _admm(
-        "positive_invcov",
-        _logdet_prox(s),
-        lambda a, rho: np.where(off_mask, np.minimum(a, 0.0), a),
-        np.diag(1.0 / np.diag(s)),
-        lambda theta, z: (_positive_invcov_kkt(s, z), z),
-        opts,
-        opts.tol * _scale(s),
-    )
+    [(z, kkt, it)] = _positive_invcov_stack(s[None], opts)
     return _report_matrix(z, _positive_invcov_objective(s, z, np.linalg.eigvalsh(z)), kkt, it, True)
+
+
+def _positive_invcov_stack(s, opts: SolverOptions) -> list:
+    """positive_invcov on a stack of inputs s (B, p, p): [(omega, kkt,
+    iterations)] in stack order."""
+    d = np.diagonal(s, axis1=-2, axis2=-1)
+    if np.any(d <= 0.0):
+        raise NoSolutionError("input diagonal must be strictly positive")
+    off_mask = ~np.eye(s.shape[-1], dtype=bool)[None]  # (1, p, p), as in _glasso_stack
+    return _admm(
+        "positive_invcov",
+        s,
+        _diag(1.0 / d),
+        _logdet_prox,
+        lambda a, rho: np.where(off_mask, np.minimum(a, 0.0), a),
+        lambda s_b, theta, z: (_positive_invcov_kkt(s_b, z), z),
+        opts,
+        opts.tol * _scales(s),
+    )
 
 
 # =====================================================================
@@ -803,6 +904,10 @@ class _Record:
     ``single``: the same pieces for all 1x1 blocks at once
     (:class:`_Singletons`); solve_decomposed and the blockwise check use it
     in place of a solver call and a block check per singleton.
+    ``stack(spec, xs)``: the solver on a stack xs (B, n, n) of same-size
+    blocks, [(theta, kkt, iterations)] in stack order; solve_decomposed
+    gives it all the blocks of one size at once.  A family without it has
+    each block solved by ``run``.
     """
 
     kind: PenaltyKind
@@ -815,6 +920,7 @@ class _Record:
     matrix: bool = True
     couples: bool = False
     single: _Singletons | None = None
+    stack: Callable | None = None
 
 
 def _lasso_kkt(spec, x, theta) -> float:
@@ -886,6 +992,7 @@ _FAMILIES = {
             piece=lambda t: t[:, None],  # a 1x1 block's spectrum is its entry
             closed=_glasso_closed_1x1,
         ),
+        stack=lambda spec, xs: _glasso_stack(xs, _glasso_lam(spec, xs.shape[-1]), spec.opts),
     ),
     Family.FANTOPE_SPCA: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
@@ -900,6 +1007,7 @@ _FAMILIES = {
         residual=lambda spec, s, t, top, _: _sparse_cov_kkt(s, _lam(spec), spec.eps, t, top=top),
         objective=lambda spec, s, t, _: _sparse_cov_objective(s, _lam(spec), t),
         needs=("eps",),
+        stack=lambda spec, xs: _sparse_cov_stack(xs, _lam(spec), spec.eps, spec.opts),
     ),
     Family.POSITIVE_INVCOV: _Record(
         PenaltyKind.OFFDIAG_POSITIVITY, GroupId.DIAGONAL_CONJUGATION,
@@ -913,6 +1021,7 @@ _FAMILIES = {
             residual=lambda spec, d, t, top: _positive_invcov_kkt_1x1(d, t),
             piece=lambda t: t[:, None],
         ),
+        stack=lambda spec, xs: _positive_invcov_stack(xs, spec.opts),
     ),
     Family.ISING_PMLE: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
@@ -1055,14 +1164,20 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     """Reduce the input, solve each independent block, and reassemble.
 
     Families whose objective separates over the blocks (all matrix families
-    except fantope_spca) solve the blocks one after another in a plain loop.
-    A family with a 1x1 closed form (glasso with an unpenalized diagonal:
-    theta_ii = 1/x_ii; Ising: theta_ii = 0) solves its 1x1 blocks first, as
-    one batch of arrays, and certifies them as its solver would; a 1x1
-    block the closed form does not reach or certify goes to the solver like
-    any other block.  The batch's blocks report 0 iterations and an equal
-    share of its seconds.  The reassembled theta is certified block by
-    block against the original input (:func:`_separable_check`), which gives
+    except fantope_spca) solve the blocks independently.  A family with a
+    1x1 closed form (glasso with an unpenalized diagonal: theta_ii =
+    1/x_ii; Ising: theta_ii = 0) solves its 1x1 blocks first, as one batch
+    of arrays, and certifies them as its solver would; a 1x1 block the
+    closed form does not reach or certify goes to the solver like any other
+    block.  The ADMM families (glasso, sparse_cov, positive_invcov) hand all
+    remaining blocks of one size to their solver as one stack, which runs
+    them in lockstep and certifies each block on its own, with the
+    iterates and iteration count the block has when solved alone; Ising
+    solves its blocks one after another.  The blocks of a batch or a stack
+    report an equal share of its seconds.  If a block fails, the error is
+    the one that solving the blocks one by one in partition order would
+    raise first.  The reassembled theta is certified block by block against
+    the original input (:func:`_separable_check`), which gives
     :func:`kkt_residual` and :func:`objective_at` up to rounding for one
     eigendecomposition per block of two or more coordinates; ``converged``
     means that residual is at most ``opts.tol * (1 + max|x|)``.
@@ -1082,8 +1197,9 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
                            rep.converged, rep.support)
 
     reduced = np.asarray(rp.reduced)
+    blocks = rp.partition.blocks
     start = time.perf_counter()
-    ones = np.array([blk[0] for blk in rp.partition.blocks if len(blk) == 1], dtype=int)
+    ones = np.array([blk[0] for blk in blocks if len(blk) == 1], dtype=int)
     d1 = reduced[ones, ones]
     closed = rec.single.closed(spec, d1) if rec.single and ones.size else None
     pieces, batch = [], np.zeros(xm.p, dtype=bool)
@@ -1097,21 +1213,41 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
             pieces.append((tuple(ones[ok].tolist()), t1[ok]))
             batch[ones[ok]] = True
     share = (time.perf_counter() - start) / max(int(batch.sum()), 1)
+    stats = [BlockStat(blk, 0, share) if len(blk) == 1 and batch[blk[0]] else None
+             for blk in blocks]
 
-    stats, reps = [], []
-    for blk in rp.partition.blocks:
-        if len(blk) == 1 and batch[blk[0]]:
-            stats.append(BlockStat(blk, 0, share))
-            continue
-        start = time.perf_counter()
-        rep = solve(spec, SymMatrix.wrap(reduced[np.ix_(blk, blk)]))
-        stats.append(BlockStat(blk, rep.iterations, time.perf_counter() - start))
-        pieces.append((blk, rep.theta))
-        reps.append(rep)
+    # the blocks left for the solver, in partition order: one group per size
+    # for a family that solves stacks, else one group per block
+    left = [i for i, stat in enumerate(stats) if stat is None]
+    groups = [[i] for i in left]
+    if rec.stack:
+        sizes: dict[int, list[int]] = {}
+        for i in left:
+            sizes.setdefault(len(blocks[i]), []).append(i)
+        groups = list(sizes.values())
+    try:
+        for members in groups:
+            start = time.perf_counter()
+            subs = np.stack([reduced[np.ix_(blocks[i], blocks[i])] for i in members])
+            if rec.stack:
+                solved = [(theta_b, it) for theta_b, _, it in rec.stack(spec, subs)]
+            else:
+                rep = solve(spec, SymMatrix.wrap(subs[0]))
+                solved = [(rep.theta, rep.iterations)]
+            share = (time.perf_counter() - start) / len(members)
+            for i, (theta_b, it) in zip(members, solved):
+                stats[i] = BlockStat(blocks[i], it, share)
+                pieces.append((blocks[i], theta_b))
+    except (ConvergenceError, NoSolutionError):
+        if rec.stack:
+            # a stack raises for its own first failing block; raise what the
+            # partition's first failing block raises when solved alone
+            for i in left:
+                rec.stack(spec, reduced[np.ix_(blocks[i], blocks[i])][None])
+        raise
 
     theta = reassemble_blocks(xm.p, pieces)
     kkt, objective = _separable_check(spec, xm, theta, rp.partition)
-    converged = (all(rep.converged for rep in reps)
-                 and kkt <= spec.opts.tol * _scale(np.asarray(xm)))
+    converged = kkt <= spec.opts.tol * _scale(np.asarray(xm))
     return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),
                        converged, _support(np.asarray(theta)), tuple(stats))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -214,6 +215,16 @@ class TestBench:
         assert b["speedup"] == pytest.approx(
             b["seconds_direct"] / b["seconds_decomposed"], rel=1e-6
         )
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_decomposed"])
+    def test_uncertified_solve_exit_code(self, monkeypatch, capsys, entry):
+        from suffreduce import cli
+
+        solver = getattr(cli, entry)
+        monkeypatch.setattr(cli, entry, lambda spec, x: dataclasses.replace(
+            solver(spec, x), converged=False))
+        assert main(["bench", "--p", "30", "--blocks", "3", "--lam", "0.3"]) == 3
+        assert "kkt residual" in capsys.readouterr().err
 
 
 class TestRoundTrip:

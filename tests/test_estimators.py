@@ -85,12 +85,13 @@ class TestNonFiniteNeverCertifies:
         with pytest.raises(ConvergenceError):
             _admm(
                 "glasso",
-                lambda v, rho: np.full_like(v, np.nan),
+                s[None],
+                np.eye(2)[None],
+                lambda v, rho, x: np.full_like(v, np.nan),
                 lambda a, rho: a,
-                np.eye(2),
-                lambda theta, z: (_glasso_kkt(s, lam_mat, z), z),
+                lambda s_b, theta, z: (_glasso_kkt(s_b, lam_mat, z), z),
                 SolverOptions(max_iter=50),
-                1e-9,
+                [1e-9],
             )
 
 
@@ -104,16 +105,17 @@ class TestCertificateSchedule:
 
         calls = []
 
-        def certify(theta, z):
+        def certify(x_b, theta, z):
             calls.append(1)
             return np.inf, z
 
-        def zero(v, rho):  # theta = z = z_old = 0: both residual norms are 0
+        def zero(v, rho, *x):  # theta = z = z_old = 0: both residual norms are 0
             return np.zeros_like(v)
 
         opts = SolverOptions(max_iter=max_iter, check_every=10)
         with pytest.raises(ConvergenceError):
-            _admm("stalled", zero, zero, np.zeros((3, 3)), certify, opts, 1e-9)
+            _admm("stalled", np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), zero, zero, certify,
+                  opts, [1e-9])
         assert len(calls) <= 2 * math.ceil(max_iter / opts.check_every)
 
     @staticmethod
@@ -139,6 +141,84 @@ class TestCertificateSchedule:
         assert len(dec.blocks) == 1
         assert dec.iterations == direct.iterations == dec.blocks[0].iterations
         assert np.array_equal(dec.theta.dense(), direct.theta.dense())
+
+
+class TestStackedDriver:
+    """solve_decomposed runs same-size blocks as one lockstep _admm stack;
+    each block must leave it with the theta and the iteration count it has
+    when solved alone."""
+
+    @staticmethod
+    def _case(seed, case):
+        # 10 blocks of 20; positive_invcov gets the input with its off-block
+        # entries made nonpositive, so that its screening finds the same blocks
+        x = random_instance(np.random.default_rng(seed), 200, n_blocks=10, within=0.6, cross=0.0)
+        if case == "glasso":
+            return EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3)), x
+        if case == "sparse_cov":
+            return EstimatorSpec(Family.SPARSE_COV, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3),
+                                 eps=0.5), x
+        same = (np.arange(200) // 20)[:, None] == (np.arange(200) // 20)[None, :]
+        d = x.dense()
+        return (EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
+                SymMatrix.wrap(np.where(same, d, -np.abs(d))))
+
+    # blocks exit the stack at iterations 36-50 (glasso), 113-125
+    # (positive_invcov) and 25-35 (sparse_cov)
+    @pytest.mark.parametrize("seed", [20240817, 7])
+    @pytest.mark.parametrize("case", ["glasso", "positive_invcov", "sparse_cov"])
+    def test_stack_matches_blocks_solved_alone(self, seed, case):
+        spec, x = self._case(seed, case)
+        rep = solve_decomposed(spec, x)
+        assert rep.converged
+        assert [len(b.indices) for b in rep.blocks] == [20] * 10
+        if case != "sparse_cov" or seed == 7:
+            assert len({b.iterations for b in rep.blocks}) > 1  # members leave apart
+        rp = reduce_input(*reduction_for(spec), x)
+        theta = rep.theta.dense()
+        for stat, (blk, sub) in zip(rep.blocks, decompose_blocks(rp.reduced, rp.partition)):
+            alone = solve(spec, sub)
+            assert stat.indices == blk and stat.iterations == alone.iterations
+            assert theta[np.ix_(blk, blk)].tobytes() == alone.theta.dense().tobytes()
+
+    def test_stalled_member_raises_and_others_leave_when_certified(self):
+        from suffreduce.estimators import _admm
+
+        calls = [0, 0, 0]
+        passes_on = [3, None, 1]  # the call on which each member certifies
+
+        def certify(x_b, theta, z):
+            m = int(x_b[0, 0])
+            calls[m] += 1
+            return (0.0 if calls[m] == passes_on[m] else np.inf), z
+
+        def zero(v, rho, *x):  # theta = z = z_old = 0: both residual norms are 0
+            return np.zeros_like(v)
+
+        x = np.arange(3.0)[:, None, None] * np.ones((3, 3, 3))
+        opts = SolverOptions(max_iter=100, check_every=10)
+        with pytest.raises(ConvergenceError, match="tol 2.000e-09 in 100 iterations"):
+            _admm("stack", x, np.zeros((3, 3, 3)), zero, zero, certify, opts,
+                  [1e-9, 2e-9, 3e-9])
+        assert calls[0] == 3 and calls[2] == 1
+        assert calls[1] <= 2 * math.ceil(opts.max_iter / opts.check_every)
+
+    def test_failing_block_raises_what_it_raises_alone(self):
+        # blocks of sizes 3, 4, 3: the 3x3 stack meets the NoSolutionError of
+        # its second block first, but the 4x4 block, first in partition
+        # order, stalls, and a block-by-block solve raises its error
+        easy = np.full((3, 3), 0.2) + 0.8 * np.eye(3)  # 16 iterations alone
+        slow = np.full((4, 4), 0.95) + 0.05 * np.eye(4)  # 475 iterations alone
+        bad = easy.copy()
+        bad[1, 1] = -1.0
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1),
+                             opts=SolverOptions(max_iter=100))
+        x = SymMatrix.wrap(block_diag(easy, slow, bad))
+        assert [len(blk) for blk in reduce_input(*reduction_for(spec), x).partition.blocks] == [3, 4, 3]
+        with pytest.raises(ConvergenceError, match="glasso did not reach tol"):
+            solve(spec, SymMatrix.wrap(slow))
+        with pytest.raises(ConvergenceError, match="glasso did not reach tol"):
+            solve_decomposed(spec, x)
 
 
 class TestClosedForms:
