@@ -9,14 +9,14 @@ importing the library from the exported ``src/`` and once from this tree's
 
 - the acceptance battery at seeds 20240817 and 7 (50 instances each):
   glasso and sparse_cov at the 0.4 and 0.7 off-diagonal quantiles, glasso
-  with a penalized diagonal at the 0.7 quantile (its 1x1 blocks have no
-  closed form and go to the solver), positive_invcov, and fantope_spca
+  with a penalized diagonal at the 0.7 quantile (its 1x1 blocks run
+  ADMM), positive_invcov, and fantope_spca
   (k = 2), each through ``solve`` and ``solve_decomposed``, with
   ``kkt_residual`` and ``objective_at`` at the solution and at a perturbed,
   non-optimal point;
 - glasso, positive_invcov and Ising on inputs whose blocks are all 1x1, at
-  p = 1 and p = 12, the same way: the closed-form 1x1 solves and the
-  batched 1x1 certificate;
+  p = 1 and p = 12, the same way: stacks of 1x1 blocks in the solve and
+  in the certificate;
 - Ising pseudo-likelihood at p = 6, 8, 10, 12, the same way;
 - decomposed glasso on one planted p = 500 input (25 blocks) per seed at
   the eight lambdas 0.30 .. 0.66;

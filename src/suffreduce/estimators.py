@@ -24,19 +24,12 @@ it up and checks the spec against it.  Matrix families have one certificate
 path, the block by block check: solve_decomposed runs it on the screened
 partition, kkt_residual and objective_at on the one-block partition.  For
 the separable families the KKT conditions and the objective split over the
-blocks, so a decomposed solve is certified with one eigendecomposition per
-block, not one of the whole matrix, reading only the input and the point.
-The ADMM families also solve the blocks that way: solve_decomposed hands
-all blocks of one size to the family's solver as one stack.
-
-At the top of a lambda path most blocks are single coordinates.  glasso,
-positive_invcov and Ising carry the exact 1x1 case of their block residual
-and objective piece as elementwise array functions (``_Record.single``), so
-the check scores all 1x1 blocks as one batch with no eigendecomposition.
-Where the solver's 1x1 result has a closed form that it reproduces bit for
-bit (glasso with an unpenalized diagonal: theta_ii = 1/x_ii; Ising:
-theta_ii = 0), solve_decomposed also solves those blocks as one batch
-instead of calling the solver once per block.
+blocks, so a decomposed solve is certified reading only the input and the
+point, with no eigendecomposition of the whole matrix.  Both the check and
+solve_decomposed work on size groups: all blocks of one size are gathered
+into one (B, n, n) stack, which the family's solver solves in one call and
+its block residual and objective piece score in one call, so a 1x1 block is
+a member of a (B, 1, 1) stack like any other.
 
 fantope_spca keeps its own ADMM loop and still stops on its ADMM residuals
 rather than on an independent certificate (ROADMAP item 2).
@@ -54,7 +47,7 @@ import numpy as np
 
 from .linkage import Partition
 from .penalty import GroupId, PenaltyKind, PenaltySpec
-from .reductions import ReducedProblem, reassemble_blocks, reduce_input
+from .reductions import ReducedProblem, reduce_input
 from .symmat import SymMatrix, as_symmetric
 
 __all__ = [
@@ -168,9 +161,11 @@ def _scale(a) -> float:
 
 
 def _support(theta: np.ndarray, top: float | None = None) -> np.ndarray:
-    """|theta| > SUPPORT_REL_TOL * top; top defaults to max|theta|."""
+    """|theta| > SUPPORT_REL_TOL * top; top defaults to max|theta| over the
+    last two axes, so over each member of a stack (B, n, n)."""
     if top is None:
-        top = float(np.max(np.abs(theta))) if theta.size else 0.0
+        axes = (-2, -1)[-theta.ndim:]
+        top = np.max(np.abs(theta), axis=axes, keepdims=True, initial=0.0)
     return np.abs(theta) > SUPPORT_REL_TOL * top
 
 
@@ -183,13 +178,15 @@ def _report_matrix(theta, objective, kkt, iters, converged) -> SolveReport:
 def _certificate(residual):
     """Make a KKT residual return inf at a point with a non-finite entry.
 
-    The point is the residual's last positional argument.  Without this a
-    NaN point could certify: ``max(0.0, nan)`` is 0.0.
+    The point is the residual's last positional argument, one matrix or a
+    stack (B, n, n); in a stack with a non-finite entry every member reads
+    inf.  Without this a NaN point could certify: ``max(0.0, nan)`` is 0.0.
     """
     @wraps(residual)
     def checked(*args, **kwargs):
-        if not np.all(np.isfinite(args[-1])):
-            return np.inf
+        point = args[-1]
+        if not np.all(np.isfinite(point)):
+            return np.full(np.shape(point)[:-2], np.inf)[()]  # [()]: a 0-d result as a scalar
         return residual(*args, **kwargs)
 
     return checked
@@ -309,6 +306,16 @@ def _require_certified(name, resid, tol):
         raise ConvergenceError(f"{name}: KKT residual {resid:.3e} above tol {tol:.3e}")
 
 
+def _inverse(z):
+    """(positive definite, inverse) of a matrix or of each member of a stack
+    (..., n, n), from one eigendecomposition.  The inverse of a member that is
+    not positive definite is meaningless, but computed without a division by
+    zero."""
+    w, q = np.linalg.eigh(z)
+    pos = w[..., 0] > 0.0
+    return pos, (q / np.where(pos[..., None], w, 1.0)[..., None, :]) @ q.mT
+
+
 def _spectral(q, gamma):
     """q diag(gamma) q^T, symmetrized, for eigenvectors q (..., n, n) and
     values gamma that broadcast against the rows of q: (n,) for one
@@ -359,7 +366,7 @@ def _lambda_matrix(lam, p: int, penalize_diagonal: bool) -> np.ndarray:
         return out
     if lam_arr.shape != (p, p):
         raise ValueError(f"weight matrix must be ({p}, {p})")
-    if np.max(np.abs(lam_arr - lam_arr.T)) > 0:
+    if np.any(lam_arr != lam_arr.T):  # inf - inf is nan, which max() would pass
         raise ValueError("weight matrix must be symmetric")
     if np.any(lam_arr < 0):
         raise ValueError("penalty weights must be nonnegative")
@@ -367,45 +374,21 @@ def _lambda_matrix(lam, p: int, penalize_diagonal: bool) -> np.ndarray:
 
 
 @_certificate
-def _glasso_kkt(s, lam_mat, z, top=None) -> float:
-    w, q = np.linalg.eigh(z)
-    if w[0] <= 0.0:
-        return np.inf
-    inv = (q / w) @ q.T
+def _glasso_kkt(s, lam_mat, z, top=None):
+    """KKT residual at z, for one matrix or each member of a stack (..., n, n):
+    inf where z is not positive definite."""
+    pos, inv = _inverse(z)
     e = inv - s
-    on = _support(z, top)
-    resid_on = np.abs(e - lam_mat * np.sign(z))[on]
-    resid_off = np.maximum(np.abs(e) - lam_mat, 0.0)[~on]
-    worst = 0.0
-    if resid_on.size:
-        worst = max(worst, float(resid_on.max()))
-    if resid_off.size:
-        worst = max(worst, float(resid_off.max()))
-    return worst
+    # on the support z != 0, where copysign is lam * sign(z) without inf * 0
+    r = np.where(_support(z, top), np.abs(e - np.copysign(lam_mat, z)),
+                 np.maximum(np.abs(e) - lam_mat, 0.0))
+    return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
 def _glasso_objective(s, lam_mat, z, w) -> float:  # w: the eigenvalues of z
-    return float(-np.sum(np.log(w)) + np.sum(s * z) + np.sum(lam_mat * np.abs(z)))
-
-
-def _glasso_kkt_1x1(d, lam, t, top):
-    """_glasso_kkt on the 1x1 blocks [[d_i]], [[t_i]], all with diagonal
-    weight lam, as one array: inf where t_i <= 0."""
-    pos = t > 0.0
-    e = 1.0 / np.where(pos, t, 1.0) - d
-    r = np.where(_support(t, top), np.abs(e - lam * np.sign(t)), np.maximum(np.abs(e) - lam, 0.0))
-    # _glasso_kkt's running max starts at 0.0, and max(0.0, nan) is 0.0
-    return np.where(pos, np.fmax(r, 0.0), np.inf)
-
-
-def _glasso_closed_1x1(spec, d):
-    """glasso's lam == 0 path on the 1x1 blocks [[d_i]]: theta = 1/d_i,
-    reached where d_i clears the 1e-12 eigenvalue floor.  None when the
-    diagonal carries a penalty, which the solver meets with ADMM."""
-    if _glasso_lam(spec, 1)[0, 0] != 0.0:
-        return None
-    ok = d > 1e-12
-    return 1.0 / np.where(ok, d, 1.0), ok
+    # a zero entry pays no penalty, also under an infinite weight (inf * 0 is nan)
+    penalty = np.sum(np.where(z != 0.0, lam_mat, 0.0) * np.abs(z))
+    return float(-np.sum(np.log(w)) + np.sum(s * z) + penalty)
 
 
 def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
@@ -431,8 +414,11 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
 def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
     """glasso on a stack of inputs s (B, p, p) that share the weight matrix
     lam_mat: [(theta, kkt, iterations)] in stack order.  With no penalty at
-    all, theta is the inverse of each input, which must certify."""
+    all, theta is the inverse of each input, which must certify; so a 1x1
+    input with an unpenalized diagonal gets theta = 1/x_ii at 0 iterations."""
     d = np.diagonal(s, axis1=-2, axis2=-1)
+    if np.isinf(np.diag(lam_mat)).any():
+        raise NoSolutionError("an infinite diagonal weight makes every objective value infinite")
     if np.any((np.diag(lam_mat) == 0.0) & (d <= 0.0)):
         raise NoSolutionError(
             "unpenalized diagonal requires strictly positive input diagonal"
@@ -450,19 +436,18 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
             opts,
             tol,
         )
-    out = []
-    for s_b, tol_b in zip(s, tol):
-        wv, q = np.linalg.eigh(s_b)
-        if wv[0] <= 1e-12:
-            raise NoSolutionError(
-                f"lam=0 needs a positive definite input (min eig {wv[0]:.3e})"
-            )
-        theta = (q / wv) @ q.T
-        theta = (theta + theta.T) / 2.0
-        kkt = _glasso_kkt(s_b, lam_mat, theta)
-        _require_certified("glasso", kkt, tol_b)
-        out.append((theta, kkt, 0))
-    return out
+    wv, q = np.linalg.eigh(s)
+    low = np.flatnonzero(wv[:, 0] <= 1e-12)
+    if low.size:
+        raise NoSolutionError(
+            f"lam=0 needs a positive definite input (min eig {wv[low[0], 0]:.3e})"
+        )
+    theta = (q / wv[:, None, :]) @ q.mT
+    theta = (theta + theta.mT) / 2.0
+    kkt = _glasso_kkt(s, lam_mat, theta)
+    for kkt_b, tol_b in zip(kkt, tol):
+        _require_certified("glasso", kkt_b, tol_b)
+    return list(zip(theta, kkt, [0] * len(s)))
 
 
 # =====================================================================
@@ -555,6 +540,9 @@ def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = 
     opts = opts or SolverOptions()
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    if np.isinf(lam):
+        # trace(theta) = k puts a nonzero entry in every feasible theta
+        raise NoSolutionError("an infinite weight makes every objective value infinite")
     s = x.dense()
     p = x.p
     scale = _scale(s)
@@ -651,6 +639,9 @@ def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
         raise ValueError("lam must be nonnegative")
     if eps <= 0:
         raise ValueError("eigenvalue floor eps must be positive")
+    if np.isinf(lam):
+        # theta >= eps I has a positive diagonal
+        raise NoSolutionError("an infinite weight makes every objective value infinite")
     direct = _soft(s, lam)
     tol = opts.tol * _scales(s)
     feasible = np.linalg.eigvalsh(direct)[:, 0] >= eps
@@ -681,27 +672,15 @@ def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
 # =====================================================================
 
 @_certificate
-def _positive_invcov_kkt(s, z, top=None) -> float:
-    w, q = np.linalg.eigh(z)
-    if w[0] <= 0.0:
-        return np.inf
-    e = (q / w) @ q.T - s
-    off = ~np.eye(z.shape[0], dtype=bool)
-    on = _support(z, top) & off
-    zero = ~on & off
-    worst = float(np.max(np.abs(np.diag(e))))
-    if on.any():
-        worst = max(worst, float(np.max(np.abs(e[on]))))
-    if zero.any():
-        worst = max(worst, float(np.max(np.maximum(-e[zero], 0.0))))
-    return worst
-
-
-def _positive_invcov_kkt_1x1(d, t):
-    """_positive_invcov_kkt on the 1x1 blocks [[d_i]], [[t_i]] as one
-    array: |1/t_i - d_i|, inf where t_i <= 0."""
-    pos = t > 0.0
-    return np.where(pos, np.abs(1.0 / np.where(pos, t, 1.0) - d), np.inf)
+def _positive_invcov_kkt(s, z, top=None):
+    """KKT residual at z, for one matrix or each member of a stack (..., n, n):
+    inf where z is not positive definite."""
+    pos, inv = _inverse(z)
+    e = inv - s
+    # |e| on the diagonal and the off-diagonal support, else the sign excess
+    free = np.eye(z.shape[-1], dtype=bool) | _support(z, top)
+    r = np.where(free, np.abs(e), np.maximum(-e, 0.0))
+    return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
 def _positive_invcov_objective(s, z, w) -> float:  # w: the eigenvalues of z
@@ -778,7 +757,9 @@ def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
 
 
 def _ising_objective(s, lam, theta, logz) -> float:
-    return logz - float(np.sum(s * theta)) + lam * float(np.sum(np.abs(theta)))
+    l1 = float(np.sum(np.abs(theta)))
+    # a zero theta pays no penalty, also under an infinite weight (inf * 0 is nan)
+    return logz - float(np.sum(s * theta)) + (lam * l1 if l1 else 0.0)
 
 
 @_certificate
@@ -795,25 +776,6 @@ def _ising_kkt(moment_minus_s: np.ndarray, lam: float, theta: np.ndarray, top=No
             worst, float(np.max(np.maximum(np.abs(moment_minus_s[zero]) - lam, 0.0)))
         )
     return worst
-
-
-def _ising_zero_diagonal(t):
-    """Raise as the enumeration of a 1x1 block [[t_i]] does unless t_i == 0."""
-    if np.any(t != 0.0):
-        raise ValueError("interaction matrix must have a zero diagonal")
-
-
-def _ising_pieces_1x1(t):
-    """The enumeration of each 1x1 block [[t_i]]; with t_i == 0 it is the
-    same for all of them."""
-    _ising_zero_diagonal(t)
-    return [ising_logpartition(SymMatrix.wrap(np.zeros((1, 1))))] * t.size
-
-
-def _ising_kkt_1x1(t):
-    """_ising_kkt on 1x1 blocks: no off-diagonal entry, so 0."""
-    _ising_zero_diagonal(t)
-    return np.zeros_like(t)
 
 
 def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> SolveReport:
@@ -870,26 +832,16 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
     )
 
 
+def _ising_stack(xs, lam: float, opts: SolverOptions) -> list:
+    """ising_pmle on each member of a stack xs (B, p, p): [(theta, kkt,
+    iterations)] in stack order."""
+    reps = (ising_pmle(SymMatrix.wrap(x_b), lam, opts) for x_b in xs)
+    return [(rep.theta.dense(), rep.kkt_residual, rep.iterations) for rep in reps]
+
+
 # =====================================================================
 # the family table: dispatch, objectives, certificates
 # =====================================================================
-
-@dataclass(frozen=True)
-class _Singletons:
-    """A matrix family's 1x1 blocks, handled as one batch.  ``d`` holds
-    their input entries x_ii and ``t`` their theta_ii, in partition order,
-    and each function is the exact 1x1 case of its :class:`_Record`
-    counterpart, elementwise: ``residual(spec, d, t, top)`` the blocks' KKT
-    residuals, ``piece(t)`` the list of their objective pieces, and
-    ``closed(spec, d)`` the solver's solution ``(t, reached)``, where
-    ``reached`` marks the blocks on which the solver returns that t without
-    raising, before its certificate; None if the solver has no closed form
-    for this spec."""
-
-    residual: Callable
-    piece: Callable
-    closed: Callable = lambda spec, d: None
-
 
 @dataclass(frozen=True)
 class _Record:
@@ -897,17 +849,14 @@ class _Record:
     it requires, its solver ``run(spec, x)``, its reduction ``group``, and
     its certificate.  A vector family (``matrix=False``) gives
     ``residual(spec, x, theta)`` and ``objective(spec, x, theta)``.  A matrix
-    family is checked block by block: ``piece(theta_bb)`` is a block's
-    non-entrywise objective term, ``residual(spec, x_bb, theta_bb, top,
-    piece)`` its KKT residual, and ``objective(spec, x, theta, pieces)``
-    assembles the objective.  ``couples``: the blocks share a constraint.
-    ``single``: the same pieces for all 1x1 blocks at once
-    (:class:`_Singletons`); solve_decomposed and the blockwise check use it
-    in place of a solver call and a block check per singleton.
-    ``stack(spec, xs)``: the solver on a stack xs (B, n, n) of same-size
-    blocks, [(theta, kkt, iterations)] in stack order; solve_decomposed
-    gives it all the blocks of one size at once.  A family without it has
-    each block solved by ``run``.
+    family is checked block by block, on stacks (B, n, n) of same-size
+    blocks: ``piece(thetas)`` gives each block's non-entrywise objective
+    term, ``residual(spec, xs, thetas, top, pieces)`` each block's KKT
+    residual, and ``objective(spec, x, theta, pieces)`` assembles the
+    objective from the pieces of all blocks in partition order.
+    ``couples``: the blocks share a constraint.  ``stack(spec, xs)``: the
+    solver on a stack xs of same-size blocks, [(theta, kkt, iterations)] in
+    stack order; every family whose blocks do not couple has one.
     """
 
     kind: PenaltyKind
@@ -915,11 +864,10 @@ class _Record:
     run: Callable
     residual: Callable
     objective: Callable
-    piece: Callable = lambda theta: None
+    piece: Callable = lambda thetas: [None] * len(thetas)
     needs: tuple[str, ...] = ()
     matrix: bool = True
     couples: bool = False
-    single: _Singletons | None = None
     stack: Callable | None = None
 
 
@@ -961,11 +909,17 @@ def _lam(spec) -> float:
     return spec.penalty.scalar_weight()
 
 
-def _ising_block_kkt(spec, s, t, top, enumerated) -> float:
-    # the block's enumeration is shared with the objective; a check that
+def _ising_pieces(thetas) -> list:
+    """The enumeration (logz, moment) of each member of a stack (B, n, n)."""
+    return [ising_logpartition(SymMatrix.wrap(t)) for t in thetas]
+
+
+def _ising_block_kkt(spec, s, t, top, enumerated) -> list:
+    # the blocks' enumerations are shared with the objective; a check that
     # computes no objective enumerates here instead
-    _, moment = enumerated or ising_logpartition(SymMatrix.wrap(t))
-    return _ising_kkt(np.asarray(moment) - s, _lam(spec), t, top=top)
+    enumerated = enumerated or _ising_pieces(t)
+    return [_ising_kkt(np.asarray(moment) - s_b, _lam(spec), t_b, top=top)
+            for s_b, t_b, (_, moment) in zip(s, t, enumerated)]
 
 
 _FAMILIES = {
@@ -984,27 +938,25 @@ _FAMILIES = {
         run=lambda spec, x: glasso(x, spec.penalty.weights, spec.opts, spec.penalize_diagonal),
         # np.linalg is looked up on each call, so a wrapped eigvalsh sees it
         piece=lambda t: np.linalg.eigvalsh(t),
-        residual=lambda spec, s, t, top, _: _glasso_kkt(s, _glasso_lam(spec, len(s)), t, top=top),
+        residual=lambda spec, s, t, top, _: _glasso_kkt(
+            s, _glasso_lam(spec, s.shape[-1]), t, top=top),
         objective=lambda spec, s, t, w: _glasso_objective(
             s, _glasso_lam(spec, len(s)), t, np.concatenate(w)),
-        single=_Singletons(
-            residual=lambda spec, d, t, top: _glasso_kkt_1x1(d, _glasso_lam(spec, 1)[0, 0], t, top),
-            piece=lambda t: t[:, None],  # a 1x1 block's spectrum is its entry
-            closed=_glasso_closed_1x1,
-        ),
         stack=lambda spec, xs: _glasso_stack(xs, _glasso_lam(spec, xs.shape[-1]), spec.opts),
     ),
     Family.FANTOPE_SPCA: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: fantope_spca(x, _lam(spec), spec.k, spec.opts),
-        residual=lambda spec, s, t, top, _: _fantope_kkt(s, _lam(spec), spec.k, t),
+        residual=lambda spec, s, t, top, _: [
+            _fantope_kkt(s_b, _lam(spec), spec.k, t_b) for s_b, t_b in zip(s, t)],
         objective=lambda spec, s, t, _: _fantope_objective(s, _lam(spec), t),
         needs=("k",), couples=True,
     ),
     Family.SPARSE_COV: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: sparse_cov(x, _lam(spec), spec.eps, spec.opts),
-        residual=lambda spec, s, t, top, _: _sparse_cov_kkt(s, _lam(spec), spec.eps, t, top=top),
+        residual=lambda spec, s, t, top, _: [
+            _sparse_cov_kkt(s_b, _lam(spec), spec.eps, t_b, top=top) for s_b, t_b in zip(s, t)],
         objective=lambda spec, s, t, _: _sparse_cov_objective(s, _lam(spec), t),
         needs=("eps",),
         stack=lambda spec, xs: _sparse_cov_stack(xs, _lam(spec), spec.eps, spec.opts),
@@ -1015,27 +967,16 @@ _FAMILIES = {
         piece=lambda t: np.linalg.eigvalsh(t),
         residual=lambda spec, s, t, top, _: _positive_invcov_kkt(s, t, top=top),
         objective=lambda spec, s, t, w: _positive_invcov_objective(s, t, np.concatenate(w)),
-        # no closed form: the solver's 1x1 ADMM stops one iteration in, off
-        # 1/x_ii in the last bits
-        single=_Singletons(
-            residual=lambda spec, d, t, top: _positive_invcov_kkt_1x1(d, t),
-            piece=lambda t: t[:, None],
-        ),
         stack=lambda spec, xs: _positive_invcov_stack(xs, spec.opts),
     ),
     Family.ISING_PMLE: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: ising_pmle(x, _lam(spec), spec.opts),
-        piece=lambda t: ising_logpartition(SymMatrix.wrap(t)),
+        piece=_ising_pieces,
         residual=_ising_block_kkt,
         objective=lambda spec, s, t, lms: _ising_objective(
             s, _lam(spec), t, sum(logz for logz, _ in lms)),
-        single=_Singletons(
-            residual=lambda spec, d, t, top: _ising_kkt_1x1(t),
-            piece=_ising_pieces_1x1,
-            # the solver's start point, certified before its first step
-            closed=lambda spec, d: (np.zeros_like(d), np.full(d.shape, True)),
-        ),
+        stack=lambda spec, xs: _ising_stack(xs, _lam(spec), spec.opts),
     ),
 }
 
@@ -1097,6 +1038,21 @@ def reduction_for(spec: EstimatorSpec) -> tuple[PenaltySpec, GroupId]:
     return penalty, rec.group
 
 
+def _size_groups(partition: Partition) -> list:
+    """The blocks of ``partition`` grouped by size, in order of first
+    appearance: per size, the blocks' positions in partition order and the
+    index pair that gathers them from a p x p array as one (B, n, n) stack
+    (and scatters such a stack back)."""
+    sizes: dict[int, list[int]] = {}
+    for i, blk in enumerate(partition.blocks):
+        sizes.setdefault(len(blk), []).append(i)
+    groups = []
+    for members in sizes.values():
+        r = np.array([partition.blocks[i] for i in members])
+        groups.append((members, (r[:, :, None], r[:, None, :])))
+    return groups
+
+
 def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = True,
                      objective: bool = True) -> tuple[float | None, float | None]:
     """KKT residual and objective of a matrix family at a theta that is
@@ -1107,51 +1063,43 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
     positive_invcov.  On each block it is the family's residual at (x_bb,
     theta_bb), with support classified against max|theta| over the whole
     matrix, so every partition gives the one-block result up to rounding.
-    A family with a ``single`` record checks all its 1x1 blocks as one
-    batch of arrays; their objective pieces keep their place in partition
-    order, so the objective sums in the same order.  No solver state is
-    read.  ``residual=False`` or ``objective=False`` skips that half, which
-    then reads None.  Returns (inf, nan) if theta has a non-finite entry or
-    a nonzero entry off the blocks, or if a residual term is NaN.
+    The blocks of one size are scored as one stack; their objective pieces
+    are put back in partition order, so the objective sums in that order.
+    No solver state is read.  ``residual=False`` or ``objective=False``
+    skips that half, which then reads None.  Returns (inf, nan) if theta has
+    a non-finite entry or a nonzero entry off the blocks, or if a residual
+    term is NaN.
     """
     rec = _family(spec)
-    single = rec.single
     s = np.asarray(x, dtype=float)
     td = np.asarray(theta, dtype=float)
-    # None marks a 1x1 block of the batch
-    blocks = [None if single and len(blk) == 1 else np.ix_(blk, blk) for blk in partition.blocks]
-    ones = np.array([blk[0] for blk, ix in zip(partition.blocks, blocks) if ix is None], dtype=int)
-    general = [ix for ix in blocks if ix is not None]
-    d1, t1 = s[ones, ones], td[ones, ones]
     # max|theta| with no p x p temporary; nan or inf when an entry is
     top = max(float(td.max()), -float(td.min()))
+    if not np.isfinite(top):
+        return np.inf, np.nan
+    groups = _size_groups(partition)
+    thetas = [td[ix] for _, ix in groups]
     # theta is zero off the blocks exactly when the blocks hold all its nonzeros
-    in_blocks = np.count_nonzero(t1) + sum(np.count_nonzero(td[ix]) for ix in general)
-    if not np.isfinite(top) or np.count_nonzero(td) != in_blocks:
+    if np.count_nonzero(td) != sum(np.count_nonzero(t) for t in thetas):
         return np.inf, np.nan
     resid = [0.0]
-    if residual and len(blocks) > 1:
+    if residual and len(partition.blocks) > 1:
         signed = rec.kind is PenaltyKind.OFFDIAG_POSITIVITY
         # one p x p work array and no masked copies: temporaries whose size
         # varies from solve to solve fragment the heap and raise peak memory
         work = s.copy() if signed else np.abs(s)
-        for ix in general:
+        for _, ix in groups:
             work[ix] = 0.0
-        work[ones, ones] = 0.0
         resid.append(max(float(work.max()) - (0.0 if signed else _lam(spec)), 0.0))
         del work
-    if residual and ones.size:
-        resid.append(float(np.max(single.residual(spec, d1, t1, top))))
-    batch = iter(single.piece(t1) if objective and ones.size else ())
-    pieces = []
-    for ix in blocks:
-        if ix is None:
-            pieces.append(next(batch, None))
-            continue
-        t_b = td[ix]
-        pieces.append(rec.piece(t_b) if objective else None)
+    pieces = [None] * len(partition.blocks)
+    for (members, ix), t in zip(groups, thetas):
+        group_pieces = rec.piece(t) if objective else None
+        if objective:
+            for i, piece in zip(members, group_pieces):
+                pieces[i] = piece
         if residual:
-            resid.append(rec.residual(spec, s[ix], t_b, top, pieces[-1]))
+            resid.append(float(np.max(rec.residual(spec, s[ix], t, top, group_pieces))))
     if residual and np.isnan(resid).any():
         # max() keeps its first argument against a NaN, so a NaN term would
         # otherwise vanish from the residual
@@ -1164,25 +1112,22 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     """Reduce the input, solve each independent block, and reassemble.
 
     Families whose objective separates over the blocks (all matrix families
-    except fantope_spca) solve the blocks independently.  A family with a
-    1x1 closed form (glasso with an unpenalized diagonal: theta_ii =
-    1/x_ii; Ising: theta_ii = 0) solves its 1x1 blocks first, as one batch
-    of arrays, and certifies them as its solver would; a 1x1 block the
-    closed form does not reach or certify goes to the solver like any other
-    block.  The ADMM families (glasso, sparse_cov, positive_invcov) hand all
-    remaining blocks of one size to their solver as one stack, which runs
-    them in lockstep and certifies each block on its own, with the
-    iterates and iteration count the block has when solved alone; Ising
-    solves its blocks one after another.  The blocks of a batch or a stack
-    report an equal share of its seconds.  If a block fails, the error is
-    the one that solving the blocks one by one in partition order would
-    raise first.  The reassembled theta is certified block by block against
-    the original input (:func:`_separable_check`), which gives
-    :func:`kkt_residual` and :func:`objective_at` up to rounding for one
-    eigendecomposition per block of two or more coordinates; ``converged``
-    means that residual is at most ``opts.tol * (1 + max|x|)``.
-    fantope_spca couples blocks through its trace budget, so it is solved on
-    the whole reduced matrix and certified as one block.
+    except fantope_spca) solve the blocks independently: all blocks of one
+    size go to the family's stack solver as one stack, gathered from the
+    reduced input and scattered back into theta with one index pair.  The
+    ADMM families run a stack in lockstep and certify each block on its
+    own, with the iterates and iteration count the block has when solved
+    alone; Ising solves its members one after another.  A 1x1 block is a
+    member like any other: glasso with an unpenalized diagonal gives it
+    theta_ii = 1/x_ii and Ising theta_ii = 0, both at 0 iterations.  The
+    blocks of a stack report an equal share of its seconds.  If a block
+    fails, the error is the one that solving the blocks one by one in
+    partition order would raise first.  The reassembled theta is certified
+    block by block against the original input (:func:`_separable_check`),
+    which gives :func:`kkt_residual` and :func:`objective_at` up to
+    rounding; ``converged`` means that residual is at most ``opts.tol * (1 +
+    max|x|)``.  fantope_spca couples blocks through its trace budget, so it
+    is solved on the whole reduced matrix and certified as one block.
     """
     rec = _family(spec)
     if not rec.matrix:
@@ -1198,55 +1143,24 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
 
     reduced = np.asarray(rp.reduced)
     blocks = rp.partition.blocks
-    start = time.perf_counter()
-    ones = np.array([blk[0] for blk in blocks if len(blk) == 1], dtype=int)
-    d1 = reduced[ones, ones]
-    closed = rec.single.closed(spec, d1) if rec.single and ones.size else None
-    pieces, batch = [], np.zeros(xm.p, dtype=bool)
-    if closed is not None:
-        t1, reached = closed
-        # the solver's own test: its residual, at top = max|theta_bb|, within
-        # tol times its block's scale
-        ok = reached & (rec.single.residual(spec, d1, t1, np.abs(t1))
-                        <= spec.opts.tol * (1.0 + np.abs(d1)))
-        if ok.any():
-            pieces.append((tuple(ones[ok].tolist()), t1[ok]))
-            batch[ones[ok]] = True
-    share = (time.perf_counter() - start) / max(int(batch.sum()), 1)
-    stats = [BlockStat(blk, 0, share) if len(blk) == 1 and batch[blk[0]] else None
-             for blk in blocks]
-
-    # the blocks left for the solver, in partition order: one group per size
-    # for a family that solves stacks, else one group per block
-    left = [i for i, stat in enumerate(stats) if stat is None]
-    groups = [[i] for i in left]
-    if rec.stack:
-        sizes: dict[int, list[int]] = {}
-        for i in left:
-            sizes.setdefault(len(blocks[i]), []).append(i)
-        groups = list(sizes.values())
+    theta = np.zeros((xm.p, xm.p))
+    stats = [None] * len(blocks)
     try:
-        for members in groups:
+        for members, ix in _size_groups(rp.partition):
             start = time.perf_counter()
-            subs = np.stack([reduced[np.ix_(blocks[i], blocks[i])] for i in members])
-            if rec.stack:
-                solved = [(theta_b, it) for theta_b, _, it in rec.stack(spec, subs)]
-            else:
-                rep = solve(spec, SymMatrix.wrap(subs[0]))
-                solved = [(rep.theta, rep.iterations)]
+            solved = rec.stack(spec, reduced[ix])
+            theta[ix] = np.stack([theta_b for theta_b, _, _ in solved])
             share = (time.perf_counter() - start) / len(members)
-            for i, (theta_b, it) in zip(members, solved):
+            for i, (_, _, it) in zip(members, solved):
                 stats[i] = BlockStat(blocks[i], it, share)
-                pieces.append((blocks[i], theta_b))
-    except (ConvergenceError, NoSolutionError):
-        if rec.stack:
-            # a stack raises for its own first failing block; raise what the
-            # partition's first failing block raises when solved alone
-            for i in left:
-                rec.stack(spec, reduced[np.ix_(blocks[i], blocks[i])][None])
+    except (ConvergenceError, NoSolutionError, ValueError):
+        # a stack raises for its own first failing block; raise what the
+        # partition's first failing block raises when solved alone
+        for blk in blocks:
+            rec.stack(spec, reduced[np.ix_(blk, blk)][None])
         raise
 
-    theta = reassemble_blocks(xm.p, pieces)
+    theta = SymMatrix.wrap(theta)
     kkt, objective = _separable_check(spec, xm, theta, rp.partition)
     converged = kkt <= spec.opts.tol * _scale(np.asarray(xm))
     return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),

@@ -173,9 +173,7 @@ def decompose_blocks(x: SymMatrix, partition: Partition) -> list[tuple[tuple[int
 
 def reassemble_blocks(p: int, pieces) -> SymMatrix:
     """Inverse of :func:`decompose_blocks`: scatter blocks into a zero
-    background.  ``pieces`` is a list of (indices, SymMatrix or ndarray).
-    A 1-d array with one entry per index stands for a diagonal block, such
-    as a run of 1x1 blocks, and is scattered with one indexed assignment."""
+    background.  ``pieces`` is a list of (indices, SymMatrix or ndarray)."""
     out = np.zeros((p, p))
     seen: set[int] = set()
     for blk, sub in pieces:
@@ -184,12 +182,9 @@ def reassemble_blocks(p: int, pieces) -> SymMatrix:
             raise ValueError("blocks overlap")
         seen.update(blk)
         sd = np.asarray(sub, dtype=float)
-        if sd.shape == (len(blk),):
-            out[idx, idx] = sd
-        elif sd.shape == (len(blk), len(blk)):
-            out[np.ix_(idx, idx)] = sd
-        else:
+        if sd.shape != (len(blk), len(blk)):
             raise ValueError("block size mismatch")
+        out[np.ix_(idx, idx)] = sd
     if seen != set(range(p)):
         raise ValueError("blocks must cover 0..p-1")
     return SymMatrix.wrap(out)

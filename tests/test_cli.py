@@ -149,6 +149,11 @@ class TestSolve:
         assert main(["solve", src, "--estimator", "glasso", "--lam", "0.5",
                      "-o", str(tmp_path / "e.csv")]) == 3
 
+    def test_infinite_weight_without_solution_exit_code(self, tmp_path, matrix3):
+        # no feasible point has a finite objective: a solver failure, not a usage error
+        assert main(["solve", matrix3, "--estimator", "sparse_cov", "--eps", "0.1",
+                     "--lam", "inf", "-o", str(tmp_path / "e.csv")]) == 3
+
     def test_nonconvergence_exit_code(self, tmp_path, rng):
         from suffreduce.instances import random_instance
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -800,10 +801,11 @@ class TestSolveDecomposed:
         assert rep.objective == pytest.approx(objective, rel=1e-12)
 
 
-class TestSingletonBatch:
-    """solve_decomposed and the blockwise check handle the 1x1 blocks of a
-    family with a 1x1 form as one batch; it must match the per-block
-    solver and certificate bit for bit."""
+class TestSizeGroups:
+    """solve_decomposed and the blockwise check work on stacks of same-size
+    blocks, a 1x1 block being a member of a (B, 1, 1) stack; every member
+    must get the theta, iterations, residual and objective piece it gets
+    alone."""
 
     @staticmethod
     def _all_singletons(p=12, seed=0):
@@ -840,35 +842,85 @@ class TestSingletonBatch:
         (Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 1e9), True),
         (Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), False),
     ])
-    def test_batch_residual_and_piece_are_the_block_ones(self, family, penalty, diag):
+    def test_stacked_residual_and_piece_are_the_member_ones(self, family, penalty, diag):
         spec = EstimatorSpec(family, penalty, penalize_diagonal=diag)
         rec = _FAMILIES[family]
-        batch = rec.single.residual(spec, self.D, self.T, self.TOP)
-        pieces = rec.single.piece(self.T)
-        for i, (d, t) in enumerate(zip(self.D, self.T)):
-            s_b, t_b = np.array([[d]]), np.array([[t]])
-            piece = rec.piece(t_b)
-            assert batch[i] == rec.residual(spec, s_b, t_b, self.TOP, piece)
-            assert np.array_equal(pieces[i], piece)
-        assert np.all(np.isinf(batch[self.T <= 0.0]))
+        s, t = self.D[:, None, None], self.T[:, None, None]
+        pieces = rec.piece(t)
+        stacked = rec.residual(spec, s, t, self.TOP, pieces)
+        for i in range(len(self.D)):
+            piece = rec.piece(t[i:i + 1])
+            assert stacked[i] == rec.residual(spec, s[i:i + 1], t[i:i + 1], self.TOP, piece)[0]
+            assert np.array_equal(pieces[i], piece[0])
+        assert np.all(np.isinf(stacked[self.T <= 0.0]))
+        assert np.all(np.isfinite(stacked[self.T > 0.0]))
 
-    def test_ising_batch_residual_and_piece_are_the_block_ones(self):
+    def test_ising_stacked_residual_and_piece_are_the_member_ones(self):
         spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2))
         rec = _FAMILIES[Family.ISING_PMLE]
-        t = np.zeros_like(self.D)
-        batch = rec.single.residual(spec, self.D, t, self.TOP)
-        pieces = rec.single.piece(t)
-        for i, d in enumerate(self.D):
-            s_b, t_b = np.array([[d]]), np.zeros((1, 1))
-            logz, moment = rec.piece(t_b)
-            assert batch[i] == rec.residual(spec, s_b, t_b, self.TOP, (logz, moment))
+        s, t = self.D[:, None, None], np.zeros((len(self.D), 1, 1))
+        pieces = rec.piece(t)
+        stacked = rec.residual(spec, s, t, self.TOP, pieces)
+        for i in range(len(self.D)):
+            [(logz, moment)] = rec.piece(t[i:i + 1])
+            assert stacked[i] == rec.residual(spec, s[i:i + 1], t[i:i + 1], self.TOP, None)[0]
             assert pieces[i][0] == logz and pieces[i][1] == moment
         # a nonzero diagonal is refused as the enumeration refuses it
         with pytest.raises(ValueError, match="zero diagonal"):
-            rec.residual(spec, np.eye(1), np.eye(1), 1.0, None)
-        for part in (rec.single.residual, lambda spec, d, t, top: rec.single.piece(t)):
+            rec.residual(spec, np.eye(1)[None], np.eye(1)[None], 1.0, None)
+        nonzero = self.T[:, None, None]
+        for part in (lambda: rec.residual(spec, s, nonzero, self.TOP, None),
+                     lambda: rec.piece(nonzero)):
             with pytest.raises(ValueError, match="zero diagonal"):
-                part(spec, self.D, self.T, self.TOP)
+                part()
+
+    @staticmethod
+    def _mixed(family):
+        """Input, non-optimal point and spec on interleaved blocks of sizes
+        2, 1, 3, 1, 2, zero off the blocks."""
+        partition = Partition.from_blocks([(0, 3), (1,), (2, 5, 6), (4,), (7, 8)], 9)
+        labels = np.array(partition.labels)
+        same = labels[:, None] == labels[None, :]
+        a, b = np.random.default_rng(5).uniform(-0.3, 0.3, (2, 9, 9))
+        x = np.where(same, a + a.T, 0.0) + 2.0 * np.eye(9)
+        theta = np.where(same, b + b.T, 0.0) + 1.5 * np.eye(9)
+        lam = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2)
+        spec = {
+            Family.GLASSO: EstimatorSpec(Family.GLASSO, lam),
+            Family.POSITIVE_INVCOV: EstimatorSpec(
+                Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
+            Family.SPARSE_COV: EstimatorSpec(Family.SPARSE_COV, lam, eps=0.5),
+            Family.ISING_PMLE: EstimatorSpec(Family.ISING_PMLE, lam),
+        }[family]
+        if family is Family.ISING_PMLE:
+            np.fill_diagonal(theta, 0.0)
+        return spec, x, theta, partition
+
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV,
+                                        Family.SPARSE_COV, Family.ISING_PMLE])
+    def test_mixed_sizes_check_is_the_member_one(self, family, monkeypatch):
+        """On blocks of several sizes in one check, the residual is the
+        largest one-member residual and the objective assembles the
+        one-member pieces in partition order, bit for bit."""
+        spec, x, theta, partition = self._mixed(family)
+        rec = _FAMILIES[family]
+        top = float(np.max(np.abs(theta)))
+        residuals, pieces = [], []
+        for blk in partition.blocks:
+            ix = np.ix_(blk, blk)
+            piece = rec.piece(theta[ix][None])
+            residuals.append(float(rec.residual(spec, x[ix][None], theta[ix][None], top, piece)[0]))
+            pieces.append(piece[0])
+        kkt, objective = _separable_check(spec, x, theta, partition)
+        assert kkt == max(residuals) > 0.0
+        assert objective == rec.objective(spec, x, theta, pieces)
+        # the pieces as the objective receives them
+        monkeypatch.setitem(_FAMILIES, family, dataclasses.replace(
+            rec, objective=lambda spec, s, t, got: got))
+        got = _separable_check(spec, x, theta, partition, residual=False)[1]
+        assert len(got) == len(pieces)
+        for g, want in zip(got, pieces):
+            assert np.array_equal(g, want) if isinstance(want, np.ndarray) else g == want
 
     @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV])
     def test_scaled_singleton_fails_the_check(self, family):
@@ -899,9 +951,9 @@ class TestSingletonBatch:
             assert stat.indices == blk and stat.iterations == direct.iterations
             assert direct.theta.dense()[0, 0] == rep.theta.entry(blk[0], blk[0])
 
-    def test_closed_form_falls_back_to_the_solver(self):
-        """A 1x1 block the closed form does not reach raises what the solver
-        raises: a diagonal at the 1e-12 floor, or a certificate above a
+    def test_singleton_errors_come_in_partition_order(self):
+        """A stack of 1x1 blocks raises what the first failing block raises
+        alone: a diagonal at the 1e-12 floor, or a certificate above a
         tolerance finer than 1/(1/x_ii)'s rounding."""
         penalty = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.5)
         spec = EstimatorSpec(Family.GLASSO, penalty, opts=OPTS)
@@ -912,6 +964,11 @@ class TestSingletonBatch:
         fine = EstimatorSpec(Family.GLASSO, penalty, opts=SolverOptions(tol=1e-300))
         with pytest.raises(ConvergenceError, match="glasso: KKT residual"):
             solve_decomposed(fine, SymMatrix.wrap(np.diag(d)))
+        # both in one stack: the earlier block's error, whichever it is
+        with pytest.raises(ConvergenceError, match="glasso: KKT residual"):
+            solve_decomposed(fine, SymMatrix.wrap(np.diag([49.0, 1e-13])))
+        with pytest.raises(NoSolutionError, match="lam=0 needs a positive definite input"):
+            solve_decomposed(fine, SymMatrix.wrap(np.diag([1e-13, 49.0])))
 
     def test_ising_singletons_match_ising_pmle(self):
         rng = np.random.default_rng(2)
@@ -935,3 +992,50 @@ class TestSingletonBatch:
         scale = 1.0 + float(np.max(np.abs(x.dense())))
         assert abs(rep.kkt_residual - kkt_residual(spec, x, rep.theta)) <= 1e-12 * scale
         assert rep.objective == pytest.approx(objective_at(spec, x, rep.theta), rel=1e-12)
+
+
+class TestInfiniteWeight:
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.ISING_PMLE])
+    def test_objective_is_finite(self, family):
+        """At lam = inf the solution is diagonal and pays no penalty: its
+        objective is the lam = 0 objective at the same point, not inf * 0."""
+        rng = np.random.default_rng(0)
+        x = sign_instance(rng, 6) if family is Family.ISING_PMLE else random_instance(rng, 6)
+        spec = EstimatorSpec(family, PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.inf), opts=OPTS)
+        free = EstimatorSpec(family, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.0), opts=OPTS)
+        for rep in (solve(spec, x), solve_decomposed(spec, x)):
+            theta = rep.theta.dense()
+            assert rep.converged and np.array_equal(theta, np.diag(np.diag(theta)))
+            assert np.isfinite(rep.objective)
+            assert rep.objective == pytest.approx(objective_at(free, x, rep.theta), rel=1e-12)
+            assert objective_at(spec, x, rep.theta) == objective_at(free, x, rep.theta)
+
+    INFEASIBLE = {
+        "sparse_cov": (EstimatorSpec(Family.SPARSE_COV, PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.inf),
+                                     eps=0.1), True),
+        "fantope_spca": (EstimatorSpec(Family.FANTOPE_SPCA,
+                                       PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.inf), k=2), True),
+        "glasso_penalized_diagonal": (EstimatorSpec(
+            Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.inf), penalize_diagonal=True), True),
+        "glasso_weight_matrix": (EstimatorSpec(
+            Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.diag([1.0, np.inf, 1.0, 1.0]))),
+            False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INFEASIBLE))
+    def test_weight_on_an_entry_that_cannot_be_zero_raises(self, name):
+        """An infinite weight on an entry that is nonzero at every feasible
+        point leaves no finite objective: NoSolutionError before any
+        iteration, from the direct and the decomposed solve."""
+        spec, decomposable = self.INFEASIBLE[name]
+        x = random_instance(np.random.default_rng(0), 4)
+        entries = (solve, solve_decomposed) if decomposable else (solve,)
+        for entry in entries:
+            with pytest.raises(NoSolutionError, match="infinite"):
+                entry(spec, x)
+
+    def test_asymmetric_weight_matrix_with_inf_rejected(self):
+        w = np.diag([1.0, np.inf, 1.0])
+        w[0, 2] = 0.5
+        with pytest.raises(ValueError, match="weight matrix must be symmetric"):
+            glasso(SymMatrix.wrap(np.eye(3)), w)
