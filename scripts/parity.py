@@ -28,13 +28,19 @@ importing the library from the exported ``src/`` and once from this tree's
 - glasso with a symmetric weight matrix, with and without a penalized
   diagonal, and lasso and nnls, through ``solve``, ``kkt_residual`` and
   ``objective_at``;
-- ``reduction_for`` and ``reduce_input`` for every spec above.
+- ``reduction_for`` and ``reduce_input`` for every spec above;
+- the screening routes on every battery input, on the planted p = 500
+  inputs and on one 16 x 16 input per seed whose |x_ij| take only four
+  values (ties everywhere): ``mst_kruskal`` once, then ``threshold_components``
+  and ``cut_dendrogram`` at each of the ten ``lambda_grid`` points.
 
 Per item it compares the SHA-256 of theta, the iteration count, the block
 iteration counts, the KKT residual and the objective as float hex, the
 ``converged`` flag, the reduction pair and the reduced input, mask and
-partition, or the exception raised.  Exits 0 when every item is identical
-and no call raised on either side, 1 otherwise.
+partition, the dendrogram merges (ids, heights as float hex) and the
+partition blocks of each screening route, or the exception raised.  Exits 0
+when every item is identical and no call raised on either side, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -127,6 +133,24 @@ class _Dump:
             }
         self.record(f"{key}/reduction", call)
 
+    def screening(self, key: str, x):
+        """The dendrogram of x, and the threshold-graph components and the
+        dendrogram cut at each of x's ten lambda_grid points."""
+        from suffreduce import linkage
+        from suffreduce.instances import lambda_grid
+
+        def kruskal():
+            dend = linkage.mst_kruskal(x)
+            return dend, [[a, b, _hex(h)] for a, b, h in dend.merges]
+
+        dend = self.record(f"{key}/mst_kruskal", kruskal)
+        for j, lam in enumerate(float(v) for v in lambda_grid(x, 10)):
+            self.record(f"{key}/{j}/threshold_components", lambda: (None, {
+                "lam": _hex(lam), "blocks": linkage.threshold_components(x, lam).blocks}))
+            if dend is not None:
+                self.record(f"{key}/{j}/cut_dendrogram",
+                            lambda: (None, linkage.cut_dendrogram(dend, lam).blocks))
+
     def matrix_spec(self, key: str, spec, x, gen, decompose: bool = True):
         """solve and, with ``decompose``, the reduction and solve_decomposed;
         the certificate and objective at each solution and at a perturbed
@@ -195,6 +219,7 @@ class _Dump:
     def run(self) -> dict:
         from suffreduce.instances import random_instance, sign_instance
         from suffreduce.penalty import PenaltyKind, PenaltySpec
+        from suffreduce.symmat import SymMatrix
 
         est = self.est
         Spec, Fam, Opts = est.EstimatorSpec, est.Family, est.SolverOptions
@@ -212,6 +237,7 @@ class _Dump:
                 cross = float(gen.choice([0.0, 0.05, 0.1]))
                 x = random_instance(gen, p, n_blocks=n_blocks, cross=cross)
                 key = f"battery/{seed}/{i}"
+                self.screening(f"{key}/screening", x)
                 for q in (0.4, 0.7):
                     lam = _quantile(x, q)
                     self.matrix_spec(f"{key}/glasso/q{q}", Spec(Fam.GLASSO, l1(lam), opts=crit),
@@ -249,9 +275,13 @@ class _Dump:
                                  xs, pert)
 
             self.singletons(seed, crit, pert)
+            tied = np.triu(np.random.default_rng([seed, 4]).integers(-3, 4, (16, 16)) / 4.0, 1)
+            self.screening(f"tied/{seed}/screening",
+                           SymMatrix.wrap(tied + tied.T + 2.0 * np.eye(16)))
             self.stacks(seed, pert)
 
             xp = random_instance(gen, 500, n_blocks=25, within=0.6, cross=0.05)
+            self.screening(f"planted/{seed}/screening", xp)
             for lam in PLANTED_LAMS:
                 spec = Spec(Fam.GLASSO, l1(lam), opts=Opts(tol=1e-7))
                 key = f"planted/{seed}/{lam:.4f}"

@@ -47,7 +47,7 @@ import numpy as np
 
 from .linkage import Partition
 from .penalty import GroupId, PenaltyKind, PenaltySpec
-from .reductions import ReducedProblem, reduce_input
+from .reductions import reduce_input, screening_partition
 from .symmat import SymMatrix, as_symmetric
 
 __all__ = [
@@ -1109,46 +1109,50 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
 
 
 def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
-    """Reduce the input, solve each independent block, and reassemble.
+    """Screen the input, solve each independent block, and reassemble.
 
     Families whose objective separates over the blocks (all matrix families
-    except fantope_spca) solve the blocks independently: all blocks of one
-    size go to the family's stack solver as one stack, gathered from the
-    reduced input and scattered back into theta with one index pair.  The
-    ADMM families run a stack in lockstep and certify each block on its
-    own, with the iterates and iteration count the block has when solved
-    alone; Ising solves its members one after another.  A 1x1 block is a
-    member like any other: glasso with an unpenalized diagonal gives it
-    theta_ii = 1/x_ii and Ising theta_ii = 0, both at 0 iterations.  The
-    blocks of a stack report an equal share of its seconds.  If a block
-    fails, the error is the one that solving the blocks one by one in
-    partition order would raise first.  The reassembled theta is certified
-    block by block against the original input (:func:`_separable_check`),
-    which gives :func:`kkt_residual` and :func:`objective_at` up to
-    rounding; ``converged`` means that residual is at most ``opts.tol * (1 +
-    max|x|)``.  fantope_spca couples blocks through its trace budget, so it
-    is solved on the whole reduced matrix and certified as one block.
+    except fantope_spca) take only the screening partition
+    (:func:`~suffreduce.reductions.screening_partition`) and solve the blocks
+    independently: all blocks of one size go to the family's stack solver as
+    one stack, gathered from the input and scattered back into theta with one
+    index pair.  Inside a block the reduced input equals the input bit for
+    bit, so no mask is built.  The ADMM families run a stack in lockstep and
+    certify each block on its own, with the iterates and iteration count the
+    block has when solved alone; Ising solves its members one after another.
+    A 1x1 block is a member like any other: glasso with an unpenalized
+    diagonal gives it theta_ii = 1/x_ii and Ising theta_ii = 0, both at 0
+    iterations.  The blocks of a stack report an equal share of its seconds.
+    If a block fails, the error is the one that solving the blocks one by
+    one in partition order would raise first.  The reassembled theta is
+    certified block by block against the original input
+    (:func:`_separable_check`), which gives :func:`kkt_residual` and
+    :func:`objective_at` up to rounding; ``converged`` means that residual
+    is at most ``opts.tol * (1 + max|x|)``.  fantope_spca couples blocks
+    through its trace budget, so it is solved on the whole reduced matrix
+    and certified as one block.
     """
     rec = _family(spec)
     if not rec.matrix:
         raise ValueError("block decomposition applies to matrix families only")
     xm = as_symmetric(x)
-    rp: ReducedProblem = reduce_input(*reduction_for(spec), xm)
+    penalty, group = reduction_for(spec)
 
     if rec.couples:
-        rep = solve(spec, rp.reduced)
+        rep = solve(spec, reduce_input(penalty, group, xm).reduced)
         kkt = kkt_residual(spec, xm, rep.theta)
         return SolveReport(rep.theta, objective_at(spec, xm, rep.theta), kkt, rep.iterations,
                            rep.converged, rep.support)
 
-    reduced = np.asarray(rp.reduced)
-    blocks = rp.partition.blocks
+    partition = screening_partition(penalty, xm)
+    s = np.asarray(xm)
+    blocks = partition.blocks
     theta = np.zeros((xm.p, xm.p))
     stats = [None] * len(blocks)
     try:
-        for members, ix in _size_groups(rp.partition):
+        for members, ix in _size_groups(partition):
             start = time.perf_counter()
-            solved = rec.stack(spec, reduced[ix])
+            solved = rec.stack(spec, s[ix])
             theta[ix] = np.stack([theta_b for theta_b, _, _ in solved])
             share = (time.perf_counter() - start) / len(members)
             for i, (_, _, it) in zip(members, solved):
@@ -1157,11 +1161,11 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
         # a stack raises for its own first failing block; raise what the
         # partition's first failing block raises when solved alone
         for blk in blocks:
-            rec.stack(spec, reduced[np.ix_(blk, blk)][None])
+            rec.stack(spec, s[np.ix_(blk, blk)][None])
         raise
 
     theta = SymMatrix.wrap(theta)
-    kkt, objective = _separable_check(spec, xm, theta, rp.partition)
-    converged = kkt <= spec.opts.tol * _scale(np.asarray(xm))
+    kkt, objective = _separable_check(spec, xm, theta, partition)
+    converged = kkt <= spec.opts.tol * _scale(s)
     return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),
                        converged, _support(np.asarray(theta)), tuple(stats))

@@ -7,6 +7,7 @@ significant digits, enough to round-trip IEEE doubles exactly.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -56,7 +57,20 @@ def read_votes_csv(path, general: bool = False) -> np.ndarray:
     return a
 
 
+def _strict(value):
+    """value with each non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    return value
+
+
 def write_json(path, payload: dict) -> None:
+    """Write payload as strict JSON: a non-finite float, which JSON cannot
+    hold, is written as the string "inf", "-inf" or "nan"."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

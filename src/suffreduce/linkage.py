@@ -120,7 +120,7 @@ def components(adj) -> Partition:
 
 def threshold_components(x: SymMatrix, lam: float) -> Partition:
     """Connected components of the graph {(i, j): i != j, |x_ij| > lam}."""
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN, which no comparison would select
         raise ValueError(f"threshold must be >= 0, got {lam}")
     return components(np.abs(x.dense()) > lam)
 
@@ -193,6 +193,8 @@ def mst_kruskal(x: SymMatrix) -> Dendrogram:
 
 def cut_dendrogram(dend: Dendrogram, lam: float) -> Partition:
     """Partition obtained by applying every merge with height > lam."""
+    if not lam >= 0:  # also rejects NaN, which no comparison would select
+        raise ValueError(f"threshold must be >= 0, got {lam}")
     p = dend.leaves
     uf = UnionFind(p)
     members: dict[int, int] = {i: i for i in range(p)}  # cluster id -> any leaf

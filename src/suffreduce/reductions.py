@@ -1,5 +1,5 @@
 """Input reductions: the masking maps that shrink an estimator's input
-without moving its solution set, plus block decomposition helpers.
+without moving its solution set, and the screening partition they come from.
 
 Every reduction here is idempotent and non-expansive entrywise, and its mask
 satisfies the averaging / dual-feasibility / dual-invariance conditions
@@ -27,8 +27,7 @@ __all__ = [
     "positive_part",
     "reconstruct_from_soft",
     "reduce_input",
-    "decompose_blocks",
-    "reassemble_blocks",
+    "screening_partition",
 ]
 
 
@@ -146,45 +145,25 @@ def reduce_input(penalty: PenaltySpec, group: GroupId, x) -> ReducedProblem:
         mask = MaskProjection(group, vector=d)
         return ReducedProblem(reduced, mask, None)
 
-    if penalty.kind not in (PenaltyKind.SYMMETRIC_L1, PenaltyKind.OFFDIAG_POSITIVITY):
-        raise ValueError(f"{penalty.kind.value} has no conjugation reduction")
     x = as_symmetric(x)
     # one screening pass: the partition gives the mask, the mask the reduced
     # input (the same arithmetic as slt / slt_plus)
-    if penalty.kind is PenaltyKind.SYMMETRIC_L1:
-        partition = threshold_components(x, _require_scalar(penalty))
-    else:
-        partition = components(x.dense() > 0.0)
+    partition = screening_partition(penalty, x)
     mask = MaskProjection(group, matrix=cluster_matrix(partition))
     return ReducedProblem(mask.apply(x), mask, partition)
 
 
-def decompose_blocks(x: SymMatrix, partition: Partition) -> list[tuple[tuple[int, ...], SymMatrix]]:
-    """Principal submatrices of x, one per partition block."""
-    if partition.p != x.p:
-        raise ValueError("partition does not cover the matrix")
-    d = x.dense()
-    out = []
-    for blk in partition.blocks:
-        idx = np.array(blk)
-        out.append((blk, SymMatrix.wrap(d[np.ix_(idx, idx)])))
-    return out
+def screening_partition(penalty: PenaltySpec, x: SymMatrix) -> Partition:
+    """The blocks a matrix penalty screens x into: the components of the
+    graph {|x_ij| > lam} for symmetric_l1 (a scalar weight only), of
+    {x_ij > 0} for offdiag_positivity.
 
-
-def reassemble_blocks(p: int, pieces) -> SymMatrix:
-    """Inverse of :func:`decompose_blocks`: scatter blocks into a zero
-    background.  ``pieces`` is a list of (indices, SymMatrix or ndarray)."""
-    out = np.zeros((p, p))
-    seen: set[int] = set()
-    for blk, sub in pieces:
-        idx = np.array(blk)
-        if seen & set(blk):
-            raise ValueError("blocks overlap")
-        seen.update(blk)
-        sd = np.asarray(sub, dtype=float)
-        if sd.shape != (len(blk), len(blk)):
-            raise ValueError("block size mismatch")
-        out[np.ix_(idx, idx)] = sd
-    if seen != set(range(p)):
-        raise ValueError("blocks must cover 0..p-1")
-    return SymMatrix.wrap(out)
+    Inside a block the cluster mask is exactly 1, so a block of the reduced
+    input has the bits of the same block of x; a solve that only needs the
+    blocks can gather them from x and skip the mask.
+    """
+    if penalty.kind is PenaltyKind.SYMMETRIC_L1:
+        return threshold_components(x, _require_scalar(penalty))
+    if penalty.kind is PenaltyKind.OFFDIAG_POSITIVITY:
+        return components(np.asarray(x) > 0.0)
+    raise ValueError(f"{penalty.kind.value} has no conjugation reduction")

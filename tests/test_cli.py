@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from suffreduce.cli import main
+from suffreduce.estimators import ConvergenceError
 from suffreduce.io import read_matrix_csv, write_matrix_csv
 
 
 def write_lines(path, text):
     path.write_text(text)
     return str(path)
+
+
+def load_strict_json(path):
+    """JSON from path, refusing the NaN/Infinity literals strict JSON lacks."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture
@@ -74,6 +82,12 @@ class TestCluster:
         bad = write_lines(tmp_path / "bad.csv", "1,0.9\n0.1,1\n")
         assert main(["cluster", bad, "--dendrogram", str(tmp_path / "d.json")]) == 2
 
+    def test_nan_level_rejected(self, tmp_path, matrix3):
+        cc = tmp_path / "c.csv"
+        assert main(["cluster", matrix3, "--dendrogram", str(tmp_path / "d.json"),
+                     "--lam", "nan", "--clusters", str(cc)]) == 2
+        assert not cc.exists()
+
     def test_p1(self, tmp_path):
         one = write_lines(tmp_path / "one.csv", "2.0\n")
         dj = tmp_path / "d.json"
@@ -114,6 +128,14 @@ class TestSolve:
         assert r["converged"] is True
         assert r["estimator"] == "glasso"
         assert r["kkt_residual"] <= 1e-8
+
+    def test_report_is_strict_json(self, tmp_path, matrix3):
+        rep = tmp_path / "r.json"
+        assert main(["solve", matrix3, "--estimator", "glasso", "--lam", "inf",
+                     "-o", str(tmp_path / "e.csv"), "--report", str(rep)]) == 0
+
+        r = load_strict_json(rep)
+        assert r["lam"] == "inf" and r["converged"] is True
 
     def test_fps_rank_one(self, tmp_path):
         src = write_lines(tmp_path / "d.csv", "3,0\n0,1\n")
@@ -191,6 +213,21 @@ class TestVerifyCommand:
         s = json.loads(out.read_text())
         assert s["passed"] == s["trials"] > 0
         assert "checks passed" in capsys.readouterr().out
+
+    def test_failed_solve_summary_is_strict_json(self, tmp_path, monkeypatch):
+        from suffreduce import verify
+
+        def fail(spec, x, tol):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(verify, "check_sufficiency", fail)
+        out = tmp_path / "s.json"
+        assert main(["verify", "--suite", "sufficiency", "--families", "glasso",
+                     "--sizes", "4", "-o", str(out)]) == 1
+
+        s = load_strict_json(out)
+        assert s["failures"][0]["deviation"] == "inf"
+        assert s["worst_deviation"]["sufficiency"] == "inf"
 
     def test_bad_sizes(self, tmp_path):
         assert main(["verify", "--sizes", "1", "-o", str(tmp_path / "s.json")]) == 2

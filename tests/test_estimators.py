@@ -33,7 +33,7 @@ from suffreduce.estimators import (
 from suffreduce.instances import random_instance, sign_instance
 from suffreduce.linkage import Partition, components, threshold_components
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
-from suffreduce.reductions import decompose_blocks, reassemble_blocks, reduce_input
+from suffreduce.reductions import reduce_input
 from suffreduce.symmat import SymMatrix
 
 OPTS = SolverOptions(tol=1e-9)
@@ -175,10 +175,10 @@ class TestStackedDriver:
         assert [len(b.indices) for b in rep.blocks] == [20] * 10
         if case != "sparse_cov" or seed == 7:
             assert len({b.iterations for b in rep.blocks}) > 1  # members leave apart
-        rp = reduce_input(*reduction_for(spec), x)
-        theta = rep.theta.dense()
-        for stat, (blk, sub) in zip(rep.blocks, decompose_blocks(rp.reduced, rp.partition)):
-            alone = solve(spec, sub)
+        partition = reduce_input(*reduction_for(spec), x).partition
+        theta, xd = rep.theta.dense(), x.dense()
+        for stat, blk in zip(rep.blocks, partition.blocks):
+            alone = solve(spec, xd[np.ix_(blk, blk)])
             assert stat.indices == blk and stat.iterations == alone.iterations
             assert theta[np.ix_(blk, blk)].tobytes() == alone.theta.dense().tobytes()
 
@@ -675,6 +675,33 @@ class TestSolveDecomposed:
         rng = np.random.default_rng(3)
         return SymMatrix.wrap(block_diag(*[draw(rng, n).dense() for n in sizes]))
 
+    def test_separable_families_take_only_the_partition(self, monkeypatch):
+        """A separable decomposed solve builds no cluster mask: screening
+        gives it the partition alone.  fantope_spca solves the whole masked
+        matrix, so it still builds one."""
+        class MaskBuilt(Exception):
+            pass
+
+        def no_mask(partition):
+            raise MaskBuilt
+
+        monkeypatch.setattr("suffreduce.reductions.cluster_matrix", no_mask)
+        x = self._block_input(lambda rng, n: random_instance(rng, n, n_blocks=1), (6, 5, 4))
+        l1 = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3)
+        for spec, inp in (
+            (EstimatorSpec(Family.GLASSO, l1, opts=OPTS), x),
+            (EstimatorSpec(Family.SPARSE_COV, l1, eps=0.05, opts=OPTS), x),
+            (EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY),
+                           opts=OPTS), x),
+            (EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                           opts=SolverOptions(tol=1e-10)),
+             self._block_input(sign_instance, (5, 4, 3))),
+        ):
+            rep = solve_decomposed(spec, inp)
+            assert rep.converged and len(rep.blocks) >= 3
+        with pytest.raises(MaskBuilt):
+            solve_decomposed(EstimatorSpec(Family.FANTOPE_SPCA, l1, k=1, opts=OPTS), x)
+
     @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV, Family.ISING_PMLE])
     def test_blockwise_certificate_matches_kkt_residual(self, family):
         if family is Family.ISING_PMLE:
@@ -746,15 +773,14 @@ class TestSolveDecomposed:
 
     def test_nan_penalty_never_certifies(self):
         """A NaN weight that gets past PenaltySpec (set after construction)
-        makes every block a singleton and the screening term NaN; the check
+        makes the screening term NaN on a partition of singletons; the check
         returns (inf, nan) instead of dropping that term, and
         solve_decomposed refuses the weight when it screens."""
         penalty = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1)
         object.__setattr__(penalty, "weights", float("nan"))
         spec = EstimatorSpec(Family.GLASSO, penalty, opts=OPTS)
         x = random_instance(np.random.default_rng(0), 6)
-        partition = threshold_components(x, float("nan"))
-        assert len(partition.blocks) == 6
+        partition = Partition.from_blocks([(i,) for i in range(6)], 6)
         theta = np.diag(1.0 / np.diag(x.dense()))
         kkt, objective = _separable_check(spec, x, theta, partition)
         assert kkt == np.inf and np.isnan(objective)
@@ -774,8 +800,10 @@ class TestSolveDecomposed:
         spec = EstimatorSpec(family, penalty, opts=OPTS)
         assert len(reduce_input(*reduction_for(spec), x).partition.blocks) == 1
         finer = Partition.from_blocks([(0,), (1, 2)], 3)
-        pieces = [(blk, solve(spec, sub).theta) for blk, sub in decompose_blocks(x, finer)]
-        kkt, _ = _separable_check(spec, x, reassemble_blocks(3, pieces), finer)
+        theta = np.zeros((3, 3))
+        for blk in finer.blocks:
+            theta[np.ix_(blk, blk)] = solve(spec, x.dense()[np.ix_(blk, blk)]).theta.dense()
+        kkt, _ = _separable_check(spec, x, theta, finer)
         assert kkt == pytest.approx(expected, abs=1e-12)
 
     def test_ising_above_enumeration_cap(self):
@@ -825,8 +853,8 @@ class TestSizeGroups:
         scale = 1.0 + float(np.max(np.abs(x.dense())))
         assert abs(rep.kkt_residual - kkt_residual(spec, x, rep.theta)) <= 1e-12 * scale
         assert abs(rep.objective - objective_at(spec, x, rep.theta)) <= 1e-12 * scale
-        for (i,), sub in decompose_blocks(x, threshold_components(x, lam)):
-            direct = solve(spec, sub)
+        for (i,) in threshold_components(x, lam).blocks:
+            direct = solve(spec, x.dense()[np.ix_((i,), (i,))])
             assert direct.iterations == 0
             assert direct.theta.dense()[0, 0] == rep.theta.entry(i, i)
 
@@ -946,8 +974,8 @@ class TestSizeGroups:
                              penalize_diagonal=True, opts=OPTS)
         rep = solve_decomposed(spec, x)
         assert rep.converged and rep.iterations > 0
-        for stat, (blk, sub) in zip(rep.blocks, decompose_blocks(x, threshold_components(x, lam))):
-            direct = solve(spec, sub)
+        for stat, blk in zip(rep.blocks, threshold_components(x, lam).blocks):
+            direct = solve(spec, x.dense()[np.ix_(blk, blk)])
             assert stat.indices == blk and stat.iterations == direct.iterations
             assert direct.theta.dense()[0, 0] == rep.theta.entry(blk[0], blk[0])
 

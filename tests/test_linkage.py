@@ -73,9 +73,10 @@ class TestThresholdComponents:
         # an edge exactly at the level does not connect
         assert threshold_components(X3, 0.8).blocks == ((0,), (1,), (2,))
 
-    def test_negative_lam_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_components(X3, -0.1)
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_negative_or_nan_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            threshold_components(X3, lam)
 
     def test_matches_transitive_closure(self, rng):
         for _ in range(20):
@@ -117,6 +118,14 @@ class TestDendrogram:
         # strict: cutting exactly at a merge height drops that merge
         assert cut_dendrogram(d, 0.8).blocks == ((0,), (1,), (2,))
         assert cut_dendrogram(d, 0.5).blocks == ((0, 1), (2,))
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_negative_or_nan_cut_rejected(self, lam):
+        # a zero-height merge (a pair no positive path joins) would apply below 0
+        d = mst_kruskal(SymMatrix.wrap(np.eye(3)))
+        assert [h for _, _, h in d.merges] == [0.0, 0.0]
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            cut_dendrogram(d, lam)
 
     def test_cut_agrees_with_components(self, rng):
         for _ in range(15):

@@ -9,13 +9,12 @@ from suffreduce.linkage import Partition, components, slc, slt, slt_plus, thresh
 from suffreduce.orbit import check_projection_conditions
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
 from suffreduce.reductions import (
-    decompose_blocks,
     group_hard_threshold,
     hard_threshold,
     positive_part,
-    reassemble_blocks,
     reconstruct_from_soft,
     reduce_input,
+    screening_partition,
 )
 from suffreduce.symmat import SymMatrix
 
@@ -180,6 +179,19 @@ class TestReduceInput:
         pen = PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.full((3, 3), 0.5))
         with pytest.raises(ValueError):
             reduce_input(pen, GroupId.DIAGONAL_CONJUGATION, X3)
+        with pytest.raises(ValueError, match="only scalar weights"):
+            screening_partition(pen, X3)
+
+    def test_screening_partition_routes(self, rng):
+        from suffreduce.instances import random_instance
+
+        x = random_instance(rng, 9, n_blocks=3, cross=0.1)
+        assert (screening_partition(PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), x)
+                == threshold_components(x, 0.3))
+        assert (screening_partition(PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), x)
+                == components(x.dense() > 0))
+        with pytest.raises(ValueError, match="entrywise_l1 has no conjugation reduction"):
+            screening_partition(PenaltySpec(PenaltyKind.ENTRYWISE_L1, 0.5), x)
 
     def test_masks_pass_condition_checks(self, rng):
         from suffreduce.instances import random_instance
@@ -207,45 +219,6 @@ class TestReduceInput:
         once = reduce_input(pen, GroupId.DIAGONAL_CONJUGATION, x)
         twice = reduce_input(pen, GroupId.DIAGONAL_CONJUGATION, once.reduced)
         assert once.reduced.allclose(twice.reduced, tol=0.0)
-
-
-class TestBlockDecomposition:
-    def test_round_trip(self, rng):
-        from suffreduce.instances import random_instance
-
-        x = random_instance(rng, 9, n_blocks=3, cross=0.0)
-        part = Partition.from_blocks([(0, 1, 2), (3, 4, 5), (6, 7, 8)], 9)
-        pieces = decompose_blocks(x, part)
-        assert [idx for idx, _ in pieces] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-        back = reassemble_blocks(9, pieces)
-        xd = x.dense()
-        bd = back.dense()
-        for idx, _ in pieces:
-            sub = np.ix_(idx, idx)
-            assert np.array_equal(bd[sub], xd[sub])
-        # cross-block entries come back as exact zeros
-        assert bd[0, 5] == 0.0
-
-    def test_interleaved_blocks(self):
-        raw = np.arange(16, dtype=float).reshape(4, 4) / 10 + np.eye(4)
-        x = SymMatrix.from_dense((raw + raw.T) / 2)
-        part = Partition.from_blocks([(0, 2), (1, 3)], 4)
-        pieces = decompose_blocks(x, part)
-        sub = pieces[0][1].dense()
-        xd = x.dense()
-        assert sub[0, 1] == xd[0, 2]
-
-    def test_bad_cover_rejected(self):
-        x = SymMatrix.from_dense(np.eye(3))
-        with pytest.raises(ValueError):
-            decompose_blocks(x, Partition.from_blocks([(0, 1)], 2))
-        with pytest.raises(ValueError):
-            reassemble_blocks(3, [((0, 1), SymMatrix.from_dense(np.eye(2)))])
-        for piece in (np.ones((2, 2)), np.ones(3)):  # a 1-d piece is no block either
-            with pytest.raises(ValueError, match="block size mismatch"):
-                reassemble_blocks(3, [((0, 1, 2), piece)])
-        with pytest.raises(ValueError, match="blocks overlap"):
-            reassemble_blocks(3, [((0, 1), np.ones((2, 2))), ((1, 2), np.ones((2, 2)))])
 
 
 class TestPenaltySpec:
