@@ -34,23 +34,35 @@ importing the library from the exported ``src/`` and once from this tree's
   values (ties everywhere): ``mst_kruskal`` once, then ``threshold_components``
   and ``cut_dendrogram`` at each of the ten ``lambda_grid`` points.
 
-Per item it compares the SHA-256 of theta, the iteration count, the block
-iteration counts, the KKT residual and the objective as float hex, the
-``converged`` flag, the reduction pair and the reduced input, mask and
-partition, the dendrogram merges (ids, heights as float hex) and the
-partition blocks of each screening route, or the exception raised.  Exits 0
-when every item is identical and no call raised on either side, 1
-otherwise.
+Per item it compares the SHA-256 of theta and of the support, the
+iteration count, the block iteration counts, the KKT residual and the
+objective as float hex, the ``converged`` flag, the reduction pair and the
+reduced input, mask and partition, the dendrogram merges (ids, heights as
+float hex) and the partition blocks of each screening route, or the
+exception raised.  Exits 0 when every item is identical and no call raised
+on either side, 1 otherwise.
+
+When items differ it prints how many of each kind (solve, certificate or
+objective at a point, reduction, screening) differ, the full digests of the
+differing reductions and screening routes, and per family the deviation of
+the differing solves: the largest |theta_after - theta_before| / (1 +
+max|x|), the largest |objective_after - objective_before| / (1 +
+|objective_before|), how many supports changed, how many solves report
+``converged`` on each side, and the iteration totals on each side.  A change
+that alters the solver's iterates on purpose is judged by that table, while
+its screening and reduction items must stay identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +81,20 @@ def _hex(v) -> str:
     return float(v).hex()
 
 
+def _pack(a) -> str:
+    """theta as compressed float64 bytes; mostly zero thetas pack small."""
+    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    return base64.b64encode(zlib.compress(a.tobytes())).decode()
+
+
+def _unpack(text: str) -> np.ndarray:
+    return np.frombuffer(zlib.decompress(base64.b64decode(text)), dtype=float)
+
+
 def _report(rep) -> dict:
     return {
         "theta": _sha(rep.theta),
+        "support": _sha(rep.support),
         "iterations": rep.iterations,
         "blocks": None if rep.blocks is None else [b.iterations for b in rep.blocks],
         "kkt": _hex(rep.kkt_residual),
@@ -109,7 +132,10 @@ class _Dump:
     def solved(self, key: str, way: str, spec, x):
         def call():
             rep = getattr(self.est, way)(spec, x)
-            return rep, _report(rep)
+            # the values behind the deviation table; equal exactly when the
+            # theta hash is
+            return rep, dict(_report(rep), family=spec.family.value, theta_z=_pack(rep.theta),
+                             x_scale=_hex(1.0 + np.max(np.abs(np.asarray(x)))))
         return self.record(f"{key}/{way}", call)
 
     def point(self, key: str, spec, x, theta):
@@ -316,18 +342,70 @@ def _side(src: Path) -> dict:
     return json.loads(out.stdout)
 
 
+_SOLVE_ENDS = ("/solve", "/solve_decomposed")
+
+
+def _shown(digest):
+    """A digest as printed: without the packed theta."""
+    return digest if digest is None else {k: v for k, v in digest.items() if k != "theta_z"}
+
+
+def _kind(key: str) -> str:
+    if key.endswith(_SOLVE_ENDS):
+        return "solve"
+    if key.endswith(("/at_solution", "/perturbed")):
+        return "point"
+    if key.endswith("/reduction"):
+        return "reduction"
+    return "screening"
+
+
+def _deviations(pairs) -> None:
+    """Per family, how far the differing solves (before, after) moved."""
+    families: dict[str, list] = {}
+    for b, a in pairs:
+        families.setdefault(b["family"], []).append((b, a))
+    print(f"  {'family':<16}{'solves':>7}{'max dtheta':>12}{'max dobj':>11}"
+          f"{'supp. changed':>15}{'converged':>14}{'iterations':>18}")
+    for family, rows in sorted(families.items()):
+        dtheta = max(float(np.max(np.abs(_unpack(a["theta_z"]) - _unpack(b["theta_z"])),
+                                  initial=0.0)) / float.fromhex(b["x_scale"])
+                     for b, a in rows)
+        dobj = max(abs(float.fromhex(a["objective"]) - float.fromhex(b["objective"]))
+                   / (1.0 + abs(float.fromhex(b["objective"]))) for b, a in rows)
+        support = sum(b["support"] != a["support"] for b, a in rows)
+        conv = f"{sum(b['converged'] for b, _ in rows)}/{sum(a['converged'] for _, a in rows)}"
+        its = (f"{sum(b['iterations'] for b, _ in rows)}->"
+               f"{sum(a['iterations'] for _, a in rows)}")
+        print(f"  {family:<16}{len(rows):>7}{dtheta:>12.2e}{dobj:>11.2e}"
+              f"{support:>15}{conv:>14}{its:>18}")
+
+
 def _compare(before: dict, after: dict) -> int:
     keys = sorted(set(before) | set(after))
     differ = [k for k in keys if before.get(k) != after.get(k)]
     raised = [k for k in keys
               if "raised" in before.get(k, {}) or "raised" in after.get(k, {})]
-    solves = sum(1 for k in keys if k.endswith(("/solve", "/solve_decomposed")))
+    solves = sum(1 for k in keys if k.endswith(_SOLVE_ENDS))
     print(f"parity: {len(keys)} items ({solves} solves), {len(keys) - len(differ)} identical, "
           f"{len(differ)} differ, {len(raised)} raised")
+    if differ:
+        kinds = [_kind(k) for k in differ]
+        print("  differ by kind: " + ", ".join(
+            f"{kind} {kinds.count(kind)}" for kind in ("solve", "point", "reduction", "screening")))
     for k in differ:
-        print(f"  DIFF {k}\n    before {before.get(k)}\n    after  {after.get(k)}")
+        if _kind(k) in ("reduction", "screening"):
+            print(f"  DIFF {k}\n    before {before.get(k)}\n    after  {after.get(k)}")
+    pairs = [(before[k], after[k]) for k in differ
+             if _kind(k) == "solve" and k in before and k in after
+             and "raised" not in before[k] and "raised" not in after[k]]
+    if pairs:
+        print("  differing solves: max dtheta = |theta_after - theta_before| / (1 + max|x|), "
+              "max dobj = |objective change| / (1 + |objective_before|), "
+              "converged and iterations as before/after")
+        _deviations(pairs)
     for k in raised:
-        print(f"  RAISED {k}: {before.get(k)} | {after.get(k)}")
+        print(f"  RAISED {k}: {_shown(before.get(k))} | {_shown(after.get(k))}")
     return 1 if differ or raised else 0
 
 

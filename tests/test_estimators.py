@@ -95,6 +95,37 @@ class TestNonFiniteNeverCertifies:
                 [1e-9],
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_admm_driver_rejects_iterates_gone_non_finite_late(self, bad):
+        # the last member of a stack of two goes non-finite on its sixth
+        # prox, once its Anderson memory holds secant pairs; the batched
+        # normal equations must not raise LinAlgError, the other member
+        # certifies, and the stack ends in ConvergenceError
+        from suffreduce.estimators import _admm, _glasso_kkt, _logdet_prox, _soft
+
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        lam_mat = np.array([[0.0, 0.1], [0.1, 0.0]])
+        calls = [0]
+        certified = []
+
+        def prox_f(v, rho, x):
+            calls[0] += 1
+            theta = _logdet_prox(v, rho, x)
+            if calls[0] >= 6:
+                theta[-1] = bad
+            return theta
+
+        def certify(s_b, theta, z):
+            resid = _glasso_kkt(s_b, lam_mat, z)
+            certified.append(resid)
+            return resid, z
+
+        with pytest.raises(ConvergenceError, match="in 200 iterations"), np.errstate(invalid="ignore"):
+            _admm("glasso", np.stack([s, 1.5 * s]), np.stack([np.eye(2)] * 2), prox_f,
+                  lambda a, rho: _soft(a, lam_mat[None] / rho), certify,
+                  SolverOptions(max_iter=200), [1e-9, 1e-9])
+        assert min(certified) <= 1e-9  # the first member left the stack
+
 
 class TestCertificateSchedule:
     """_admm certifies on its cadence, at the last iteration, and at most
@@ -164,8 +195,8 @@ class TestStackedDriver:
         return (EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
                 SymMatrix.wrap(np.where(same, d, -np.abs(d))))
 
-    # blocks exit the stack at iterations 36-50 (glasso), 113-125
-    # (positive_invcov) and 25-35 (sparse_cov)
+    # blocks exit the stack at iterations 22-24 (glasso), 42-54
+    # (positive_invcov) and 8-12 (sparse_cov)
     @pytest.mark.parametrize("seed", [20240817, 7])
     @pytest.mark.parametrize("case", ["glasso", "positive_invcov", "sparse_cov"])
     def test_stack_matches_blocks_solved_alone(self, seed, case):
@@ -208,8 +239,10 @@ class TestStackedDriver:
         # blocks of sizes 3, 4, 3: the 3x3 stack meets the NoSolutionError of
         # its second block first, but the 4x4 block, first in partition
         # order, stalls, and a block-by-block solve raises its error
-        easy = np.full((3, 3), 0.2) + 0.8 * np.eye(3)  # 16 iterations alone
-        slow = np.full((4, 4), 0.95) + 0.05 * np.eye(4)  # 475 iterations alone
+        easy = np.full((3, 3), 0.2) + 0.8 * np.eye(3)  # 7 iterations alone
+        # nearly singular, with variances 1 to 1000: 250 iterations alone
+        d = np.sqrt([1.0, 10.0, 100.0, 1000.0])
+        slow = (np.full((4, 4), 0.999) + 0.001 * np.eye(4)) * np.outer(d, d)
         bad = easy.copy()
         bad[1, 1] = -1.0
         spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.1),
@@ -220,6 +253,14 @@ class TestStackedDriver:
             solve(spec, SymMatrix.wrap(slow))
         with pytest.raises(ConvergenceError, match="glasso did not reach tol"):
             solve_decomposed(spec, x)
+
+    # summed block iterations of plain (unaccelerated) ADMM on these inputs
+    @pytest.mark.parametrize("case, plain", [("glasso", 389), ("positive_invcov", 1205)])
+    def test_anderson_cuts_block_iterations(self, case, plain):
+        spec, x = self._case(20240817, case)
+        rep = solve_decomposed(spec, x)
+        assert rep.converged
+        assert rep.iterations == sum(b.iterations for b in rep.blocks) <= 0.7 * plain
 
 
 class TestClosedForms:
@@ -636,6 +677,46 @@ class TestSolveDispatcher:
         assert rep.converged and rep.iterations > 0
         assert kkt_residual(spec, x, rep.theta) == rep.kkt_residual
         assert objective_at(spec, x, rep.theta) == rep.objective
+
+
+class TestConvergedMeansCertified:
+    """converged=True means that the independent certificate at the reported
+    point is within tol * (1 + max|x|), through solve and solve_decomposed.
+    fantope_spca still stops on its ADMM residuals and is not checked."""
+
+    @staticmethod
+    def _specs(x):
+        opts = SolverOptions(tol=1e-8)
+        off = np.abs(x.dense()[~np.eye(x.p, dtype=bool)])
+        for q in (0.4, 0.7):
+            l1 = PenaltySpec(PenaltyKind.SYMMETRIC_L1, float(np.quantile(off, q)))
+            yield EstimatorSpec(Family.GLASSO, l1, opts=opts)
+            yield EstimatorSpec(Family.SPARSE_COV, l1, eps=0.01, opts=opts)
+        yield EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY),
+                            opts=opts)
+
+    @staticmethod
+    def _check(spec, x, way):
+        rep = way(spec, x)
+        assert rep.converged
+        scale = 1.0 + float(np.max(np.abs(np.asarray(x))))
+        assert kkt_residual(spec, x, rep.theta) <= spec.opts.tol * scale
+
+    @pytest.mark.parametrize("way", [solve, solve_decomposed])
+    def test_matrix_families_on_battery_sample(self, battery, way):
+        for x in battery[::2]:
+            for spec in self._specs(x):
+                self._check(spec, x, way)
+
+    @pytest.mark.parametrize("way", [solve, solve_decomposed])
+    def test_ising(self, way):
+        gen = np.random.default_rng(77)
+        for p in (4, 6, 8):
+            x = sign_instance(gen, p)
+            lam = float(np.quantile(np.abs(x.dense()[~np.eye(p, dtype=bool)]), 0.5))
+            spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                                 opts=SolverOptions(tol=1e-10))
+            self._check(spec, x, way)
 
 
 class TestSolveDecomposed:
