@@ -18,6 +18,9 @@ importing the library from the exported ``src/`` and once from this tree's
   p = 1 and p = 12, the same way: stacks of 1x1 blocks in the solve and
   in the certificate;
 - Ising pseudo-likelihood at p = 6, 8, 10, 12, the same way;
+- ``ising_logpartition`` on seeded couplings at p = 1, 2, 7, 12 and 15, so
+  that the state enumeration is pinned directly and not only through the
+  Ising solves;
 - decomposed glasso on one planted p = 500 input (25 blocks) per seed at
   the eight lambdas 0.30 .. 0.66;
 - glasso (lambda 0.3), sparse_cov (eps 0.5, lambda 0.3) and positive_invcov,
@@ -36,19 +39,23 @@ importing the library from the exported ``src/`` and once from this tree's
 
 Per item it compares the SHA-256 of theta and of the support, the
 iteration count, the block iteration counts, the KKT residual and the
-objective as float hex, the ``converged`` flag, the reduction pair and the
+objective as float hex, the ``converged`` flag, the log partition function
+as float hex and the SHA-256 of the moment matrix, the reduction pair and the
 reduced input, mask and partition, the dendrogram merges (ids, heights as
 float hex) and the partition blocks of each screening route, or the
 exception raised.  Exits 0 when every item is identical and no call raised
 on either side, 1 otherwise.
 
 When items differ it prints how many of each kind (solve, certificate or
-objective at a point, reduction, screening) differ, the full digests of the
+objective at a point, enumeration, reduction, screening) differ, how many
+differing solves and points belong to each family, the full digests of the
 differing reductions and screening routes, and per family the deviation of
 the differing solves: the largest |theta_after - theta_before| / (1 +
 max|x|), the largest |objective_after - objective_before| / (1 +
 |objective_before|), how many supports changed, how many solves report
-``converged`` on each side, and the iteration totals on each side.  A change
+``converged`` on each side, and the iteration totals on each side; for the
+differing enumerations, the largest |logZ_after - logZ_before| / |logZ_before|
+and the largest |moment_after - moment_before|.  A change
 that alters the solver's iterates on purpose is judged by that table, while
 its screening and reduction items must stay identical.
 """
@@ -142,6 +149,7 @@ class _Dump:
         self.record(key, lambda: (None, {
             "kkt": _hex(self.est.kkt_residual(spec, x, theta)),
             "objective": _hex(self.est.objective_at(spec, x, theta)),
+            "family": spec.family.value,
         }))
 
     def reduction(self, key: str, spec, x):
@@ -225,6 +233,21 @@ class _Dump:
                                   opts=self.est.SolverOptions(tol=1e-10)),
                              xs, pert)
 
+    def enumeration(self, seed: int):
+        """ising_logpartition on seeded couplings with a zero diagonal."""
+        from suffreduce.symmat import SymMatrix
+
+        gen = np.random.default_rng([seed, 5])
+        for p in (1, 2, 7, 12, 15):
+            a = 0.3 * np.triu(gen.standard_normal((p, p)), 1)
+            theta = SymMatrix.wrap(a + a.T)
+
+            def call():
+                logz, moment = self.est.ising_logpartition(theta)
+                return None, {"logz": _hex(logz), "moment": _sha(moment),
+                              "moment_z": _pack(moment)}
+            self.record(f"enumeration/{seed}/{p}/ising_logpartition", call)
+
     def stacks(self, seed: int, pert):
         """Inputs whose screening partition is ten 20x20 blocks, which a
         decomposed solve runs as one stack."""
@@ -300,6 +323,7 @@ class _Dump:
                                       opts=Opts(tol=1e-10)),
                                  xs, pert)
 
+            self.enumeration(seed)
             self.singletons(seed, crit, pert)
             tied = np.triu(np.random.default_rng([seed, 4]).integers(-3, 4, (16, 16)) / 4.0, 1)
             self.screening(f"tied/{seed}/screening",
@@ -346,8 +370,10 @@ _SOLVE_ENDS = ("/solve", "/solve_decomposed")
 
 
 def _shown(digest):
-    """A digest as printed: without the packed theta."""
-    return digest if digest is None else {k: v for k, v in digest.items() if k != "theta_z"}
+    """A digest as printed: without the packed theta or moment."""
+    if digest is None:
+        return digest
+    return {k: v for k, v in digest.items() if k not in ("theta_z", "moment_z")}
 
 
 def _kind(key: str) -> str:
@@ -355,6 +381,8 @@ def _kind(key: str) -> str:
         return "solve"
     if key.endswith(("/at_solution", "/perturbed")):
         return "point"
+    if key.endswith("/ising_logpartition"):
+        return "enumeration"
     if key.endswith("/reduction"):
         return "reduction"
     return "screening"
@@ -392,7 +420,12 @@ def _compare(before: dict, after: dict) -> int:
     if differ:
         kinds = [_kind(k) for k in differ]
         print("  differ by kind: " + ", ".join(
-            f"{kind} {kinds.count(kind)}" for kind in ("solve", "point", "reduction", "screening")))
+            f"{kind} {kinds.count(kind)}"
+            for kind in ("solve", "point", "enumeration", "reduction", "screening")))
+        families = [(after.get(k) or before.get(k)).get("family") for k in differ
+                    if _kind(k) in ("solve", "point")]
+        print("  differing solves and points by family: " + ", ".join(
+            f"{f} {families.count(f)}" for f in sorted(set(families), key=str)))
     for k in differ:
         if _kind(k) in ("reduction", "screening"):
             print(f"  DIFF {k}\n    before {before.get(k)}\n    after  {after.get(k)}")
@@ -404,6 +437,16 @@ def _compare(before: dict, after: dict) -> int:
               "max dobj = |objective change| / (1 + |objective_before|), "
               "converged and iterations as before/after")
         _deviations(pairs)
+    enums = [(before[k], after[k]) for k in differ
+             if _kind(k) == "enumeration" and k in before and k in after
+             and "raised" not in before[k] and "raised" not in after[k]]
+    if enums:
+        dlogz = max(abs(float.fromhex(a["logz"]) - float.fromhex(b["logz"]))
+                    / abs(float.fromhex(b["logz"])) for b, a in enums)
+        dmoment = max(float(np.max(np.abs(_unpack(a["moment_z"]) - _unpack(b["moment_z"]))))
+                      for b, a in enums)
+        print(f"  differing enumerations: {len(enums)}, max |dlogz| / |logz_before| = "
+              f"{dlogz:.2e}, max |dmoment| = {dmoment:.2e}")
     for k in raised:
         print(f"  RAISED {k}: {_shown(before.get(k))} | {_shown(after.get(k))}")
     return 1 if differ or raised else 0

@@ -84,6 +84,7 @@ __all__ = [
 
 SUPPORT_REL_TOL = 1e-8  # support mask: |theta| > tol * max|theta|
 ISING_MAX_P = 15
+_LOG2 = float(np.log(2.0))
 _AA_MEMORY = 5  # secant pairs an Anderson-accelerated ADMM problem keeps
 # the Anderson normal equations are regularized as gram * _AA_DIAG + _AA_FLOOR:
 # the diagonal raised by a relative 1e-10 and by a floor that
@@ -193,15 +194,22 @@ def _certificate(residual):
     """Make a KKT residual return inf at a point with a non-finite entry.
 
     The point is the residual's last positional argument, one matrix or a
-    stack (B, n, n); in a stack with a non-finite entry every member reads
-    inf.  Without this a NaN point could certify: ``max(0.0, nan)`` is 0.0.
+    stack (B, n, n); in a stack, the members with a non-finite entry read
+    inf and the others what they read alone.  Without this a NaN point could
+    certify: ``max(0.0, nan)`` is 0.0.
     """
     @wraps(residual)
     def checked(*args, **kwargs):
         point = args[-1]
-        if not np.all(np.isfinite(point)):
-            return np.full(np.shape(point)[:-2], np.inf)[()]  # [()]: a 0-d result as a scalar
-        return residual(*args, **kwargs)
+        finite = np.all(np.isfinite(point), axis=(-2, -1))
+        if finite.all():
+            return residual(*args, **kwargs)
+        if not finite.any():
+            return np.full(finite.shape, np.inf)[()]  # [()]: a 0-d result as a scalar
+        # a stack with both kinds: the others are scored with the non-finite
+        # members zeroed, which every step treats member by member
+        safe = np.where(finite[:, None, None], point, 0.0)
+        return np.where(finite, residual(*args[:-1], safe, **kwargs), np.inf)
 
     return checked
 
@@ -252,16 +260,18 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol):
     so a step that does not pay is followed by a plain one.  The memory
     costs about 4 _AA_MEMORY n^2 floats per problem.
 
-    ``certify(x_b, theta_b, z_b)`` returns one problem's (residual, reported
-    point) at a map output, never at an Anderson point, so the reported
-    point keeps the exact zeros and sign constraints of prox_g.  It runs
-    every ``opts.check_every`` iterations, at the last iteration, and, at
-    most once in each window of ``check_every`` iterations, at the first
-    iteration whose primal and dual residual norms |theta - z'|_F and
-    rho |z' - z|_F are both <= tol (sec. 3.3.1).  A Frobenius norm is at
-    least the largest entry, the scale ``tol`` is stated in, so that trigger
-    is conservative; the window bound keeps a stalled solve from certifying
-    on every iteration.  The certificate is the only stopping rule and
+    ``certify(xs, thetas, zs)`` takes the stacks (D, n, n) of the problems
+    due for a certificate and returns their residuals (D,) and reported
+    points (D, n, n), computed at a map output, never at an Anderson point,
+    so a reported point keeps the exact zeros and sign constraints of
+    prox_g.  It is called at most once per iteration, on every problem
+    that is due.  A problem is due every ``opts.check_every`` iterations, at
+    the last iteration, and, at most once in each window of ``check_every``
+    iterations, at the first iteration whose primal and dual residual norms
+    |theta - z'|_F and rho |z' - z|_F are both <= tol (sec. 3.3.1).  A
+    Frobenius norm is at least the largest entry, the scale ``tol`` is
+    stated in, so that trigger is conservative; the window bound keeps a
+    stalled solve from certifying on every iteration.  The certificate is the only stopping rule and
     leaves the iterates and rho untouched: a problem leaves the stack at the
     first point whose residual is <= its tol and is not certified again.
     Returns [(point, residual, iterations)] in stack order.  Raises
@@ -302,31 +312,39 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol):
         g_norm = np.sqrt(sq[:, 0] + sq[:, 1])
         r_norms = _norms(theta - f[:, 0]).tolist()
         steps = np.sqrt(sq[:, 0]).tolist()  # |z' - z|
+        s_norms = [rho_k * step for rho_k, step in zip(rho, steps)]
         window = (it - 1) // opts.check_every
         cadence = it % opts.check_every == 0 or it == opts.max_iter
-        gone = []
-        moved = []  # (problem, factor its u is scaled by)
-        for k, (r_norm, step, rho_k, tol_k) in enumerate(zip(r_norms, steps, rho, tol)):
-            s_norm = rho_k * step
-            due = cadence
+        due = []
+        for k, (r_norm, s_norm, tol_k) in enumerate(zip(r_norms, s_norms, tol)):
             if max(r_norm, s_norm) <= tol_k and window != early[k]:
                 early[k] = window
-                due = True
-            if due:
-                resid, point = certify(x[k], theta[k], f[k, 0])
-                if resid <= tol_k:
-                    out[live[k]] = (point.copy(), resid, it)
+                due.append(k)
+            elif cadence:
+                due.append(k)
+        gone = []
+        if due:
+            # the due members are certified as one stack; a whole stack goes
+            # as it is, with no gathered copy
+            pick = slice(None) if len(due) == len(live) else due
+            resid, points = certify(x[pick], theta[pick], f[pick, 0])
+            for k, point, r in zip(due, points, resid.tolist()):
+                if r <= tol[k]:
+                    out[live[k]] = (point.copy(), r, it)
                     gone.append(k)
+            if len(gone) == len(live):
+                return out
+        moved = []  # (problem, factor its u is scaled by)
+        if adapt:
+            for k, (r_norm, s_norm, rho_k) in enumerate(zip(r_norms, s_norms, rho)):
+                if k in gone:
                     continue
-            if adapt:
                 if r_norm > 10.0 * s_norm and rho_k < 1e5:
                     rho[k] = rho_k * 2.0
                     moved.append((k, 0.5))
                 elif s_norm > 10.0 * r_norm and rho_k > 1e-3:
                     rho[k] = rho_k / 2.0
                     moved.append((k, 2.0))
-        if len(gone) == len(live):
-            return out
 
         # Anderson step: the new secant pair joins the memory of each problem
         # whose residual did not grow and whose map stays; the others forget
@@ -502,7 +520,7 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
             _diag(1.0 / np.clip(d, 1e-8, None)),
             _logdet_prox,
             lambda a, rho: _soft(a, lam_3d / rho),
-            lambda s_b, theta, z: (_glasso_kkt(s_b, lam_mat, z), z),
+            lambda xs, theta, z: (_glasso_kkt(xs, lam_mat, z), z),
             opts,
             tol,
         )
@@ -728,7 +746,8 @@ def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
             _spectral_floor(direct[rest], eps),
             lambda v, rho, s_live: _spectral_floor((s_live + rho * v) / (1.0 + rho), eps),
             lambda a, rho: _soft(a, lam / rho),
-            lambda s_b, theta, z: (_sparse_cov_kkt(s_b, lam, eps, theta), theta),
+            lambda xs, theta, z: (np.array([_sparse_cov_kkt(x_b, lam, eps, t_b)
+                                            for x_b, t_b in zip(xs, theta)]), theta),
             opts,
             tol[rest],
         )
@@ -786,7 +805,7 @@ def _positive_invcov_stack(s, opts: SolverOptions) -> list:
         _diag(1.0 / d),
         _logdet_prox,
         lambda a, rho: np.where(off_mask, np.minimum(a, 0.0), a),
-        lambda s_b, theta, z: (_positive_invcov_kkt(s_b, z), z),
+        lambda xs, theta, z: (_positive_invcov_kkt(xs, z), z),
         opts,
         opts.tol * _scales(s),
     )
@@ -797,8 +816,10 @@ def _positive_invcov_stack(s, opts: SolverOptions) -> list:
 # =====================================================================
 
 @lru_cache(maxsize=None)
-def _sign_states(p: int) -> np.ndarray:
-    codes = np.arange(2 ** p)[:, None]
+def _half_states(p: int) -> np.ndarray:
+    """The 2^(p-1) sign vectors of length p whose last coordinate is +1:
+    one of each pair u, -u."""
+    codes = np.arange(2 ** (p - 1))[:, None]
     states = 1.0 - 2.0 * ((codes >> np.arange(p)[None, :]) & 1)
     states.flags.writeable = False
     return states
@@ -807,23 +828,29 @@ def _sign_states(p: int) -> np.ndarray:
 def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
     """Log partition function and moment matrix by state enumeration.
 
-    theta must have an exactly zero diagonal and p <= 15 (the sum runs over
-    all 2^p sign vectors).  Returns (log sum_u exp(u' theta u), E[u u']).
+    theta must have an exactly zero diagonal and p <= 15.  Returns
+    (log sum_u exp(u' theta u), E[u u']), the sum over all 2^p sign vectors.
+    u and -u have the same energy u' theta u and the same u u', so the sum
+    runs over the 2^(p-1) vectors whose last sign is +1 and adds log 2 to
+    logZ; the moment is the same over either half.  The energies come from
+    one matrix product, and one exp pass gives both logZ and the weights.
     """
     p = theta.p
     if p > ISING_MAX_P:
         raise ValueError(f"enumeration capped at p={ISING_MAX_P}, got {p}")
     td = theta.dense()
-    if np.any(np.diag(td) != 0.0):
+    if td.diagonal().any():  # nan is nonzero too
         raise ValueError("interaction matrix must have a zero diagonal")
-    states = _sign_states(p)
-    energy = np.einsum("si,ij,sj->s", states, td, states)
+    states = _half_states(p)
+    # the array methods: np.sum's dispatch costs more than the sum at small p
+    energy = ((states @ td) * states).sum(axis=1)
     emax = float(energy.max())
-    logz = emax + float(np.log(np.sum(np.exp(energy - emax))))
-    weights = np.exp(energy - logz)
+    weights = np.exp(energy - emax)
+    total = float(weights.sum())
+    weights /= total
     moment = (states * weights[:, None]).T @ states
     np.fill_diagonal(moment, 1.0)
-    return logz, SymMatrix.wrap(moment)
+    return emax + float(np.log(total)) + _LOG2, SymMatrix.wrap(moment)
 
 
 def _ising_objective(s, lam, theta, logz) -> float:
@@ -853,7 +880,9 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
 
     Minimizes logpartition(theta) - <x, theta> + lam * sum_{i<j} 2|theta_ij|
     over symmetric theta with zero diagonal, by monotone proximal gradient
-    descent with backtracking.  Enumerates all 2^p states, so p <= 15.
+    descent with backtracking.  logpartition and its gradient come from
+    :func:`ising_logpartition`, which enumerates one state of each spin-flip
+    pair u, -u (2^(p-1) states), so p <= 15.
     """
     opts = opts or SolverOptions()
     if lam < 0:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -127,6 +128,66 @@ class TestNonFiniteNeverCertifies:
         assert min(certified) <= 1e-9  # the first member left the stack
 
 
+class TestStackedCertificate:
+    """A KKT residual on a stack (B, n, n) gives each member the residual it
+    gets alone, and reads inf only for the members with a non-finite entry."""
+
+    @staticmethod
+    def _residual(family):
+        from suffreduce.estimators import _glasso_kkt, _positive_invcov_kkt
+
+        if family == "glasso":
+            lam_mat = 0.2 * (1.0 - np.eye(6))
+            return lambda xs, zs: _glasso_kkt(xs, lam_mat, zs)
+        return _positive_invcov_kkt
+
+    @staticmethod
+    def _stack(family):
+        # solutions, perturbed solutions and one point that is not positive
+        # definite
+        gen = np.random.default_rng(11)
+        xs, zs = [], []
+        for i in range(4):
+            x = random_instance(gen, 6, n_blocks=2)
+            if family == "glasso":
+                spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2))
+            else:
+                d = x.dense()
+                x = SymMatrix.wrap(np.where(np.eye(6, dtype=bool), d, -np.abs(d)))
+                spec = EstimatorSpec(Family.POSITIVE_INVCOV,
+                                     PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY))
+            z = solve(spec, x).theta.dense()
+            xs.append(x.dense())
+            zs.append(z if i % 2 == 0 else z + 0.01 * gen.standard_normal((6, 6)))
+        zs[3] = -np.eye(6)
+        return np.stack(xs), np.stack(zs)
+
+    @pytest.mark.parametrize("family", ["glasso", "positive_invcov"])
+    def test_stack_matches_members_alone(self, family):
+        residual = self._residual(family)
+        xs, zs = self._stack(family)
+        alone = [residual(x_b, z_b) for x_b, z_b in zip(xs, zs)]
+        stacked = residual(xs, zs)
+        assert stacked.shape == (4,)
+        assert stacked.tobytes() == np.array(alone).tobytes()
+        assert stacked[0] <= 1e-8 and stacked[2] <= 1e-8 and stacked[3] == np.inf
+
+    @pytest.mark.parametrize("family", ["glasso", "positive_invcov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_reads_inf_alone(self, family, bad):
+        residual = self._residual(family)
+        xs, zs = self._stack(family)
+        expected = residual(xs, zs)
+        zs[1, 2, 4] = bad
+        stacked = residual(xs, zs)
+        assert stacked[1] == np.inf
+        assert residual(xs[1], zs[1]) == np.inf
+        keep = [0, 2, 3]
+        assert stacked[keep].tobytes() == expected[keep].tobytes()
+        zs[:, 0, 0] = bad
+        assert np.array_equal(residual(xs, zs), np.full(4, np.inf))
+
+
 class TestCertificateSchedule:
     """_admm certifies on its cadence, at the last iteration, and at most
     once per window when both ADMM residual norms are within tol."""
@@ -137,9 +198,9 @@ class TestCertificateSchedule:
 
         calls = []
 
-        def certify(x_b, theta, z):
+        def certify(xs, theta, z):
             calls.append(1)
-            return np.inf, z
+            return np.full(len(z), np.inf), z
 
         def zero(v, rho, *x):  # theta = z = z_old = 0: both residual norms are 0
             return np.zeros_like(v)
@@ -218,11 +279,16 @@ class TestStackedDriver:
 
         calls = [0, 0, 0]
         passes_on = [3, None, 1]  # the call on which each member certifies
+        stacks = []  # the members certified by each certify call
 
-        def certify(x_b, theta, z):
-            m = int(x_b[0, 0])
-            calls[m] += 1
-            return (0.0 if calls[m] == passes_on[m] else np.inf), z
+        def certify(xs, theta, z):
+            members = [int(x_b[0, 0]) for x_b in xs]
+            stacks.append(members)
+            resid = []
+            for m in members:
+                calls[m] += 1
+                resid.append(0.0 if calls[m] == passes_on[m] else np.inf)
+            return np.array(resid), z
 
         def zero(v, rho, *x):  # theta = z = z_old = 0: both residual norms are 0
             return np.zeros_like(v)
@@ -234,6 +300,10 @@ class TestStackedDriver:
                   [1e-9, 2e-9, 3e-9])
         assert calls[0] == 3 and calls[2] == 1
         assert calls[1] <= 2 * math.ceil(opts.max_iter / opts.check_every)
+        # one call per iteration on every due member: all three at iteration
+        # 1 (early), 0 and 1 at 10 (cadence) and 11 (early), then 1 alone
+        assert stacks[:3] == [[0, 1, 2], [0, 1], [0, 1]]
+        assert all(members == [1] for members in stacks[3:])
 
     def test_failing_block_raises_what_it_raises_alone(self):
         # blocks of sizes 3, 4, 3: the 3x3 stack meets the NoSolutionError of
@@ -532,7 +602,41 @@ class TestPositiveInvCov:
             assert certificate_ok(spec, x, rep)
 
 
+def _ising_reference(theta):
+    """(logZ, E[u u']) by a plain loop over all 2^p sign vectors, with every
+    sum taken by math.fsum."""
+    p = len(theta)
+    t = theta.tolist()
+    states = list(itertools.product((-1.0, 1.0), repeat=p))
+    energy = [math.fsum(t[i][j] * u[i] * u[j] for i in range(p) for j in range(p))
+              for u in states]
+    emax = max(energy)
+    weights = [math.exp(e - emax) for e in energy]
+    total = math.fsum(weights)
+    moment = [[math.fsum(w * u[i] * u[j] for w, u in zip(weights, states)) / total
+               for j in range(p)] for i in range(p)]
+    return emax + math.log(total), np.array(moment)
+
+
 class TestIsing:
+    @pytest.mark.parametrize("p", range(1, 11))
+    @pytest.mark.parametrize("scale", [0.3, 5.0])
+    def test_logpartition_matches_brute_force(self, p, scale):
+        """The half enumeration against a loop over every state; couplings up
+        to 5 put the largest energy far above the rest, so the shift by the
+        maximum carries the sum."""
+        a = np.triu(np.random.default_rng([p, int(10 * scale)]).uniform(-scale, scale, (p, p)), 1)
+        theta = a + a.T
+        logz, moment = ising_logpartition(SymMatrix.wrap(theta))
+        ref_logz, ref_moment = _ising_reference(theta)
+        assert abs(logz - ref_logz) <= 1e-12 * abs(ref_logz)
+        assert np.max(np.abs(moment.dense() - ref_moment)) <= 1e-12 * np.max(np.abs(ref_moment))
+
+    def test_logpartition_p1(self):
+        logz, moment = ising_logpartition(SymMatrix.wrap(np.zeros((1, 1))))
+        assert logz == math.log(2.0)
+        assert moment.dense().tolist() == [[1.0]]
+
     def test_p2_logpartition_closed_form(self):
         for t in (-0.7, 0.0, 0.3, 1.1):
             theta = sym([[0.0, t], [t, 0.0]])
