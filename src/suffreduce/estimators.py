@@ -394,14 +394,44 @@ def _require_certified(name, resid, tol):
         raise ConvergenceError(f"{name}: KKT residual {resid:.3e} above tol {tol:.3e}")
 
 
+def _cholesky(z):
+    """(positive definite, lower Cholesky factor) of a matrix or of each
+    member of a stack (..., n, n).  numpy raises for a whole stack when one
+    member has no factor, so then the members are factored one by one, each
+    as it is alone; a member with no factor gets the identity.  A 1x1 member
+    takes a square root, which costs less than a factorization."""
+    if z.shape[-1] == 1:
+        pos = z[..., 0, 0] > 0.0
+        return pos, np.sqrt(np.where(pos[..., None, None], z, 1.0))
+    try:
+        return np.ones(z.shape[:-2], dtype=bool), np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        if z.ndim == 2:
+            return np.False_, np.eye(len(z))
+        pos, low = zip(*map(_cholesky, z))
+        return np.array(pos), np.stack(low)
+
+
 def _inverse(z):
     """(positive definite, inverse) of a matrix or of each member of a stack
-    (..., n, n), from one eigendecomposition.  The inverse of a member that is
-    not positive definite is meaningless, but computed without a division by
-    zero."""
-    w, q = np.linalg.eigh(z)
-    pos = w[..., 0] > 0.0
-    return pos, (q / np.where(pos[..., None], w, 1.0)[..., None, :]) @ q.mT
+    (..., n, n), from one Cholesky factor z = L L^T as inv(L)^T inv(L).  The
+    inverse of a member that is not positive definite is meaningless, but
+    computed without a division by zero.  A 1x1 member takes the exact
+    reciprocal."""
+    if z.shape[-1] == 1:
+        pos = z[..., 0, 0] > 0.0
+        return pos, 1.0 / np.where(pos[..., None, None], z, 1.0)
+    pos, low = _cholesky(z)
+    inv = np.linalg.inv(low)
+    return pos, inv.mT @ inv
+
+
+def _logdet_objectives(z, rest):
+    """-log det(z) + rest for each member of a stack z (B, n, n), from its
+    Cholesky factor; inf where z is not positive definite."""
+    pos, low = _cholesky(z)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)
+    return np.where(pos, rest - logdet, np.inf)
 
 
 def _spectral(q, gamma):
@@ -473,10 +503,12 @@ def _glasso_kkt(s, lam_mat, z, top=None):
     return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
-def _glasso_objective(s, lam_mat, z, w) -> float:  # w: the eigenvalues of z
+def _glasso_objectives(s, lam_mat, z) -> np.ndarray:
+    """The objective of each member of a stack (B, n, n) under the weights
+    lam_mat (n, n); inf where z is not positive definite."""
     # a zero entry pays no penalty, also under an infinite weight (inf * 0 is nan)
-    penalty = np.sum(np.where(z != 0.0, lam_mat, 0.0) * np.abs(z))
-    return float(-np.sum(np.log(w)) + np.sum(s * z) + penalty)
+    terms = s * z + np.where(z != 0.0, lam_mat, 0.0) * np.abs(z)
+    return _logdet_objectives(z, np.sum(terms, axis=(-2, -1)))
 
 
 def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
@@ -495,7 +527,7 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
     s = x.dense()
     lam_mat = _lambda_matrix(lam, x.p, penalize_diagonal)
     [(theta, kkt, it)] = _glasso_stack(s[None], lam_mat, opts)
-    return _report_matrix(theta, _glasso_objective(s, lam_mat, theta, np.linalg.eigvalsh(theta)),
+    return _report_matrix(theta, float(_glasso_objectives(s[None], lam_mat, theta[None])[0]),
                           kkt, it, True)
 
 
@@ -772,10 +804,10 @@ def _positive_invcov_kkt(s, z, top=None):
     return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
-def _positive_invcov_objective(s, z, w) -> float:  # w: the eigenvalues of z
-    if w.min() <= 0:
-        return np.inf
-    return float(-np.sum(np.log(w)) + np.sum(s * z))
+def _positive_invcov_objectives(s, z) -> np.ndarray:
+    """The objective of each member of a stack (B, n, n); inf where z is not
+    positive definite."""
+    return _logdet_objectives(z, np.sum(s * z, axis=(-2, -1)))
 
 
 def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveReport:
@@ -789,7 +821,8 @@ def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveRep
     opts = opts or SolverOptions()
     s = x.dense()
     [(z, kkt, it)] = _positive_invcov_stack(s[None], opts)
-    return _report_matrix(z, _positive_invcov_objective(s, z, np.linalg.eigvalsh(z)), kkt, it, True)
+    return _report_matrix(z, float(_positive_invcov_objectives(s[None], z[None])[0]), kkt, it,
+                          True)
 
 
 def _positive_invcov_stack(s, opts: SolverOptions) -> list:
@@ -835,10 +868,17 @@ def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
     logZ; the moment is the same over either half.  The energies come from
     one matrix product, and one exp pass gives both logZ and the weights.
     """
-    p = theta.p
+    logz, moment = _ising_enumerate(np.asarray(theta))
+    return logz, SymMatrix.wrap(moment)
+
+
+def _ising_enumerate(td: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`ising_logpartition` on the array td, with its checks; the
+    moment comes back as an exactly symmetric array, the one SymMatrix.wrap
+    would store."""
+    p = td.shape[0]
     if p > ISING_MAX_P:
         raise ValueError(f"enumeration capped at p={ISING_MAX_P}, got {p}")
-    td = theta.dense()
     if td.diagonal().any():  # nan is nonzero too
         raise ValueError("interaction matrix must have a zero diagonal")
     states = _half_states(p)
@@ -850,7 +890,9 @@ def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
     weights /= total
     moment = (states * weights[:, None]).T @ states
     np.fill_diagonal(moment, 1.0)
-    return emax + float(np.log(total)) + _LOG2, SymMatrix.wrap(moment)
+    # a BLAS product need not come out exactly symmetric; the iterates of
+    # ising_pmle stay symmetric only if the moment is
+    return emax + float(np.log(total)) + _LOG2, (moment + moment.T) / 2.0
 
 
 def _ising_objective(s, lam, theta, logz) -> float:
@@ -861,18 +903,12 @@ def _ising_objective(s, lam, theta, logz) -> float:
 
 @_certificate
 def _ising_kkt(moment_minus_s: np.ndarray, lam: float, theta: np.ndarray, top=None) -> float:
-    p = theta.shape[0]
-    off = ~np.eye(p, dtype=bool)
-    on = _support(theta, top) & off
-    zero = ~on & off
-    worst = 0.0
-    if on.any():
-        worst = float(np.max(np.abs(moment_minus_s[on] + lam * np.sign(theta[on]))))
-    if zero.any():
-        worst = max(
-            worst, float(np.max(np.maximum(np.abs(moment_minus_s[zero]) - lam, 0.0)))
-        )
-    return worst
+    """KKT residual over the off-diagonal entries of theta; copysign is lam *
+    sign(theta) on the support without inf * 0 off it."""
+    r = np.where(_support(theta, top), np.abs(moment_minus_s + np.copysign(lam, theta)),
+                 np.maximum(np.abs(moment_minus_s) - lam, 0.0))
+    np.fill_diagonal(r, 0.0)  # every term is >= 0, so the zeros leave the max as it is
+    return float(r.max())
 
 
 def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> SolveReport:
@@ -892,11 +928,11 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
     scale = _scale(s)
     tol = opts.tol * scale
     theta = np.zeros((p, p))
-    logz, moment = ising_logpartition(SymMatrix.wrap(theta))
+    logz, moment = _ising_enumerate(theta)
     step = 1.0
     lhat = 0.0  # largest observed curvature; 1/lhat keeps the step contractive
     for it in range(1, opts.max_iter + 1):
-        grad = moment.dense() - s
+        grad = moment - s
         np.fill_diagonal(grad, 0.0)
         kkt = _ising_kkt(grad, lam, theta)
         if kkt <= tol:
@@ -905,7 +941,7 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
         while True:
             cand = _soft(theta - step * grad, step * lam)
             np.fill_diagonal(cand, 0.0)
-            logz_new, moment_new = ising_logpartition(SymMatrix.wrap(cand))
+            logz_new, moment_new = _ising_enumerate(cand)
             f_new = logz_new - float(np.sum(s * cand))
             diff = cand - theta
             bound = (
@@ -918,7 +954,7 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
             step *= 0.5
             if step < 1e-12:
                 raise ConvergenceError("backtracking step collapsed")
-        grad_new = moment_new.dense() - s
+        grad_new = moment_new - s
         np.fill_diagonal(grad_new, 0.0)
         move = float(np.linalg.norm(cand - theta))
         if move > 0.0:
@@ -949,10 +985,12 @@ class _Record:
     its certificate.  A vector family (``matrix=False``) gives
     ``residual(spec, x, theta)`` and ``objective(spec, x, theta)``.  A matrix
     family is checked block by block, on stacks (B, n, n) of same-size
-    blocks: ``piece(thetas)`` gives each block's non-entrywise objective
-    term, ``residual(spec, xs, thetas, top, pieces)`` each block's KKT
-    residual, and ``objective(spec, x, theta, pieces)`` assembles the
-    objective from the pieces of all blocks in partition order.
+    blocks: ``piece(spec, xs, thetas)`` gives each block's share of the
+    objective (for glasso and positive_invcov its whole objective, so the
+    objective is the sum of the pieces; for Ising its enumeration),
+    ``residual(spec, xs, thetas, top, pieces)`` each block's KKT residual,
+    and ``objective(spec, x, theta, pieces)`` assembles the objective from
+    the pieces of all blocks in partition order.
     ``couples``: the blocks share a constraint.  ``stack(spec, xs)``: the
     solver on a stack xs of same-size blocks, [(theta, kkt, iterations)] in
     stack order; every family whose blocks do not couple has one.
@@ -963,7 +1001,7 @@ class _Record:
     run: Callable
     residual: Callable
     objective: Callable
-    piece: Callable = lambda thetas: [None] * len(thetas)
+    piece: Callable = lambda spec, xs, thetas: [None] * len(thetas)
     needs: tuple[str, ...] = ()
     matrix: bool = True
     couples: bool = False
@@ -1008,7 +1046,7 @@ def _lam(spec) -> float:
     return spec.penalty.scalar_weight()
 
 
-def _ising_pieces(thetas) -> list:
+def _ising_pieces(spec, xs, thetas) -> list:
     """The enumeration (logz, moment) of each member of a stack (B, n, n)."""
     return [ising_logpartition(SymMatrix.wrap(t)) for t in thetas]
 
@@ -1016,7 +1054,7 @@ def _ising_pieces(thetas) -> list:
 def _ising_block_kkt(spec, s, t, top, enumerated) -> list:
     # the blocks' enumerations are shared with the objective; a check that
     # computes no objective enumerates here instead
-    enumerated = enumerated or _ising_pieces(t)
+    enumerated = enumerated or _ising_pieces(spec, s, t)
     return [_ising_kkt(np.asarray(moment) - s_b, _lam(spec), t_b, top=top)
             for s_b, t_b, (_, moment) in zip(s, t, enumerated)]
 
@@ -1035,12 +1073,12 @@ _FAMILIES = {
     Family.GLASSO: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: glasso(x, spec.penalty.weights, spec.opts, spec.penalize_diagonal),
-        # np.linalg is looked up on each call, so a wrapped eigvalsh sees it
-        piece=lambda t: np.linalg.eigvalsh(t),
+        # the weights of one block, so a decomposed check builds no p x p
+        # weight matrix
+        piece=lambda spec, s, t: _glasso_objectives(s, _glasso_lam(spec, t.shape[-1]), t),
         residual=lambda spec, s, t, top, _: _glasso_kkt(
             s, _glasso_lam(spec, s.shape[-1]), t, top=top),
-        objective=lambda spec, s, t, w: _glasso_objective(
-            s, _glasso_lam(spec, len(s)), t, np.concatenate(w)),
+        objective=lambda spec, s, t, pieces: float(np.sum(pieces)),
         stack=lambda spec, xs: _glasso_stack(xs, _glasso_lam(spec, xs.shape[-1]), spec.opts),
     ),
     Family.FANTOPE_SPCA: _Record(
@@ -1063,9 +1101,9 @@ _FAMILIES = {
     Family.POSITIVE_INVCOV: _Record(
         PenaltyKind.OFFDIAG_POSITIVITY, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: positive_invcov(x, spec.opts),
-        piece=lambda t: np.linalg.eigvalsh(t),
+        piece=lambda spec, s, t: _positive_invcov_objectives(s, t),
         residual=lambda spec, s, t, top, _: _positive_invcov_kkt(s, t, top=top),
-        objective=lambda spec, s, t, w: _positive_invcov_objective(s, t, np.concatenate(w)),
+        objective=lambda spec, s, t, pieces: float(np.sum(pieces)),
         stack=lambda spec, xs: _positive_invcov_stack(xs, spec.opts),
     ),
     Family.ISING_PMLE: _Record(
@@ -1164,6 +1202,8 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
     matrix, so every partition gives the one-block result up to rounding.
     The blocks of one size are scored as one stack; their objective pieces
     are put back in partition order, so the objective sums in that order.
+    As theta is zero off the blocks, the entrywise objective terms of glasso
+    and positive_invcov are summed over the blocks only.
     No solver state is read.  ``residual=False`` or ``objective=False``
     skips that half, which then reads None.  Returns (inf, nan) if theta has
     a non-finite entry or a nonzero entry off the blocks, or if a residual
@@ -1193,12 +1233,13 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
         del work
     pieces = [None] * len(partition.blocks)
     for (members, ix), t in zip(groups, thetas):
-        group_pieces = rec.piece(t) if objective else None
+        sb = s[ix]
+        group_pieces = rec.piece(spec, sb, t) if objective else None
         if objective:
             for i, piece in zip(members, group_pieces):
                 pieces[i] = piece
         if residual:
-            resid.append(float(np.max(rec.residual(spec, s[ix], t, top, group_pieces))))
+            resid.append(float(np.max(rec.residual(spec, sb, t, top, group_pieces))))
     if residual and np.isnan(resid).any():
         # max() keeps its first argument against a NaN, so a NaN term would
         # otherwise vanish from the residual

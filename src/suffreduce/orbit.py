@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .linkage import is_binary_ultrametric
 from .penalty import GroupId, PenaltyKind, PenaltySpec, GROUP_INVARIANT_KINDS
@@ -108,6 +107,11 @@ def _cut_moment_lp(targets: list[tuple[int, int, float]], p: int, tol: float) ->
 
     Solved as an LP minimizing the largest moment deviation s.
     """
+    # imported here, not at module level: scipy.optimize costs about 0.4 s
+    # and 40 MB at import, which every process that imports the package
+    # would otherwise pay, and only this LP uses it
+    from scipy.optimize import linprog
+
     y = cut_vertices(p)
     nv = y.shape[0]
     if not targets:

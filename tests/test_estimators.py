@@ -704,6 +704,16 @@ class TestIsing:
             assert rep.converged
             assert certificate_ok(spec, x, rep)
 
+    def test_certificate_ignores_the_diagonal_of_x(self, rng):
+        """The certificate reads only the off-diagonal moments, so a diagonal
+        of x other than 1 does not change it."""
+        x = sign_instance(rng, 5)
+        x3 = SymMatrix.wrap(x.dense() + 2.0 * np.eye(5))
+        spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2),
+                             opts=OPTS)
+        theta = solve(spec, x).theta
+        assert kkt_residual(spec, x3, theta) == kkt_residual(spec, x, theta) <= 1e-8
+
 
 class TestSolveDispatcher:
     def test_penalty_kind_enforced(self):
@@ -781,6 +791,30 @@ class TestSolveDispatcher:
         assert rep.converged and rep.iterations > 0
         assert kkt_residual(spec, x, rep.theta) == rep.kkt_residual
         assert objective_at(spec, x, rep.theta) == rep.objective
+
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV])
+    def test_log_det_objective_against_slogdet(self, family):
+        """The objective of the log-det families, direct and decomposed,
+        against -log det from np.linalg.slogdet plus the entrywise terms; a
+        point that is not positive definite reads inf."""
+        x = random_instance(np.random.default_rng(6), 12, n_blocks=3, cross=0.0)
+        s = x.dense()
+        if family is Family.GLASSO:
+            spec = EstimatorSpec(family, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), opts=OPTS)
+        else:
+            s = np.where(np.eye(12, dtype=bool), s, -np.abs(s))
+            x = SymMatrix.wrap(s)
+            spec = EstimatorSpec(family, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY), opts=OPTS)
+        off = ~np.eye(12, dtype=bool)
+        for rep in (solve(spec, x), solve_decomposed(spec, x)):
+            theta = rep.theta.dense()
+            sign, logdet = np.linalg.slogdet(theta)
+            penalty = 0.3 * np.sum(np.abs(theta[off])) if family is Family.GLASSO else 0.0
+            want = -logdet + np.sum(s * theta) + penalty
+            assert sign == 1.0
+            assert rep.objective == pytest.approx(want, rel=1e-12)
+            assert objective_at(spec, x, rep.theta) == pytest.approx(want, rel=1e-12)
+        assert objective_at(spec, x, -np.eye(12)) == np.inf
 
 
 class TestConvergedMeansCertified:
@@ -1059,10 +1093,10 @@ class TestSizeGroups:
         spec = EstimatorSpec(family, penalty, penalize_diagonal=diag)
         rec = _FAMILIES[family]
         s, t = self.D[:, None, None], self.T[:, None, None]
-        pieces = rec.piece(t)
+        pieces = rec.piece(spec, s, t)
         stacked = rec.residual(spec, s, t, self.TOP, pieces)
         for i in range(len(self.D)):
-            piece = rec.piece(t[i:i + 1])
+            piece = rec.piece(spec, s[i:i + 1], t[i:i + 1])
             assert stacked[i] == rec.residual(spec, s[i:i + 1], t[i:i + 1], self.TOP, piece)[0]
             assert np.array_equal(pieces[i], piece[0])
         assert np.all(np.isinf(stacked[self.T <= 0.0]))
@@ -1072,10 +1106,10 @@ class TestSizeGroups:
         spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2))
         rec = _FAMILIES[Family.ISING_PMLE]
         s, t = self.D[:, None, None], np.zeros((len(self.D), 1, 1))
-        pieces = rec.piece(t)
+        pieces = rec.piece(spec, s, t)
         stacked = rec.residual(spec, s, t, self.TOP, pieces)
         for i in range(len(self.D)):
-            [(logz, moment)] = rec.piece(t[i:i + 1])
+            [(logz, moment)] = rec.piece(spec, s[i:i + 1], t[i:i + 1])
             assert stacked[i] == rec.residual(spec, s[i:i + 1], t[i:i + 1], self.TOP, None)[0]
             assert pieces[i][0] == logz and pieces[i][1] == moment
         # a nonzero diagonal is refused as the enumeration refuses it
@@ -1083,7 +1117,7 @@ class TestSizeGroups:
             rec.residual(spec, np.eye(1)[None], np.eye(1)[None], 1.0, None)
         nonzero = self.T[:, None, None]
         for part in (lambda: rec.residual(spec, s, nonzero, self.TOP, None),
-                     lambda: rec.piece(nonzero)):
+                     lambda: rec.piece(spec, s, nonzero)):
             with pytest.raises(ValueError, match="zero diagonal"):
                 part()
 
@@ -1121,7 +1155,7 @@ class TestSizeGroups:
         residuals, pieces = [], []
         for blk in partition.blocks:
             ix = np.ix_(blk, blk)
-            piece = rec.piece(theta[ix][None])
+            piece = rec.piece(spec, x[ix][None], theta[ix][None])
             residuals.append(float(rec.residual(spec, x[ix][None], theta[ix][None], top, piece)[0]))
             pieces.append(piece[0])
         kkt, objective = _separable_check(spec, x, theta, partition)

@@ -7,9 +7,17 @@ A stdlib ``ast`` scan stands in for a linter: a name bound by a top-level
 of ``__init__.py`` files are exempt.  A module-level function, class or
 assignment in src/ whose name starts with one underscore (not a dunder) must
 be loaded somewhere in src/, by name or as an attribute.
+
+Importing the package loads no SciPy module: only the cut-polytope LP
+imports ``scipy.optimize``, when it runs.  That is checked in fresh
+interpreters, since this test process has SciPy loaded already.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,3 +95,43 @@ def test_no_dead_private_definitions_in_src():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert files
     assert unused_private_definitions(files) == []
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports the library from src/
+    and return the JSON object it prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+_SCIPY_LOADED = ("[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]")
+
+
+def test_package_import_loads_no_scipy():
+    loaded = _fresh(f"""
+import json, sys
+import suffreduce, suffreduce.cli
+print(json.dumps({_SCIPY_LOADED}))
+""")
+    assert loaded == []
+
+
+def test_cut_membership_loads_the_lp_solver_when_called():
+    """The LP still answers, and scipy.optimize arrives with the first call."""
+    got = _fresh(f"""
+import json, sys
+import numpy as np
+from suffreduce import SymMatrix, cut_membership, cut_vertices
+before = {_SCIPY_LOADED}
+y = cut_vertices(3)
+inside = SymMatrix.wrap(0.5 * np.outer(y[1], y[1]) + 0.5 * np.outer(y[2], y[2]))
+# unit diagonal and entries in [-1, 1], so only the LP can reject it:
+# b01 + b02 + b12 = -2.7 breaks the cut inequality >= -1
+outside = SymMatrix.wrap(np.where(np.eye(3, dtype=bool), 1.0, -0.9))
+answers = [cut_membership(inside), cut_membership(outside)]
+print(json.dumps({{"before": before, "answers": answers,
+                  "after": "scipy.optimize" in sys.modules}}))
+""")
+    assert got == {"before": [], "answers": [True, False], "after": True}
