@@ -33,9 +33,14 @@ importing the library from the exported ``src/`` and once from this tree's
   ``objective_at``;
 - ``reduction_for`` and ``reduce_input`` for every spec above;
 - the screening routes on every battery input, on the planted p = 500
-  inputs and on one 16 x 16 input per seed whose |x_ij| take only four
-  values (ties everywhere): ``mst_kruskal`` once, then ``threshold_components``
-  and ``cut_dendrogram`` at each of the ten ``lambda_grid`` points.
+  inputs and on one 16 x 16 and one 200 x 200 input per seed whose |x_ij|
+  take only four values (ties everywhere): ``mst_kruskal`` once, then
+  ``threshold_components`` and ``cut_dendrogram`` at each of the ten
+  ``lambda_grid`` points;
+- the same routes on one shuffled chain per seed: p = 500 items joined
+  only along a random order, by distinct weights, cut at ten quantiles of
+  the chain weights.  At the lowest cut the threshold graph is one path
+  through all 500 items, the most rounds a component labelling takes.
 
 Per item it compares the SHA-256 of theta and of the support, the
 iteration count, the block iteration counts, the KKT residual and the
@@ -167,9 +172,10 @@ class _Dump:
             }
         self.record(f"{key}/reduction", call)
 
-    def screening(self, key: str, x):
+    def screening(self, key: str, x, lams=None):
         """The dendrogram of x, and the threshold-graph components and the
-        dendrogram cut at each of x's ten lambda_grid points."""
+        dendrogram cut at each of ``lams``, by default x's ten lambda_grid
+        points."""
         from suffreduce import linkage
         from suffreduce.instances import lambda_grid
 
@@ -178,7 +184,9 @@ class _Dump:
             return dend, [[a, b, _hex(h)] for a, b, h in dend.merges]
 
         dend = self.record(f"{key}/mst_kruskal", kruskal)
-        for j, lam in enumerate(float(v) for v in lambda_grid(x, 10)):
+        if lams is None:
+            lams = lambda_grid(x, 10)
+        for j, lam in enumerate(float(v) for v in lams):
             self.record(f"{key}/{j}/threshold_components", lambda: (None, {
                 "lam": _hex(lam), "blocks": linkage.threshold_components(x, lam).blocks}))
             if dend is not None:
@@ -328,6 +336,16 @@ class _Dump:
             tied = np.triu(np.random.default_rng([seed, 4]).integers(-3, 4, (16, 16)) / 4.0, 1)
             self.screening(f"tied/{seed}/screening",
                            SymMatrix.wrap(tied + tied.T + 2.0 * np.eye(16)))
+            tied = np.triu(np.random.default_rng([seed, 6]).integers(-3, 4, (200, 200)) / 4.0, 1)
+            self.screening(f"tied200/{seed}/screening",
+                           SymMatrix.wrap(tied + tied.T + 2.0 * np.eye(200)))
+            chain_gen = np.random.default_rng([seed, 7])
+            order = chain_gen.permutation(500)
+            weights = chain_gen.uniform(0.05, 1.0, 499)
+            chain = np.zeros((500, 500))
+            chain[order[:-1], order[1:]] = weights
+            self.screening(f"chain/{seed}/screening", SymMatrix.wrap(chain + chain.T + np.eye(500)),
+                           np.quantile(weights, np.linspace(0.0, 1.0, 10)))
             self.stacks(seed, pert)
 
             xp = random_instance(gen, 500, n_blocks=25, within=0.6, cross=0.05)

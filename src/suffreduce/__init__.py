@@ -14,7 +14,6 @@ from .estimators import (
     NoSolutionError,
     SolveReport,
     SolverOptions,
-    fantope_project,
     glasso,
     ising_logpartition,
     ising_pmle,
@@ -47,7 +46,6 @@ from .orbit import (
     conj_majorizes,
     cut_membership,
     cut_vertices,
-    sign_majorizes,
 )
 from .penalty import GroupId, PenaltyKind, PenaltySpec
 from .reductions import (
@@ -103,7 +101,6 @@ __all__ = [
     "cut_membership",
     "cut_vertices",
     "enumerate_feasible_ultrametrics",
-    "fantope_project",
     "glasso",
     "group_hard_threshold",
     "hadamard",
@@ -122,7 +119,6 @@ __all__ = [
     "reduction_for",
     "run_suite",
     "screening_partition",
-    "sign_majorizes",
     "slc",
     "slt",
     "slt_plus",

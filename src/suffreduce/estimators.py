@@ -69,7 +69,6 @@ __all__ = [
     "lasso",
     "nnls",
     "glasso",
-    "fantope_project",
     "fantope_spca",
     "sparse_cov",
     "positive_invcov",
@@ -592,6 +591,9 @@ def _fantope_shift(w: np.ndarray, k: int) -> float:
 
 
 def _fantope_project_dense(a: np.ndarray, k: int) -> np.ndarray:
+    """Nearest matrix to a with eigenvalues in [0, 1] summing to k: the
+    eigenvalues shifted by ``_fantope_shift`` and clipped, the eigenvectors
+    kept.  ValueError unless 1 <= k <= p."""
     p = a.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"k must be in 1..{p}, got {k}")
@@ -601,21 +603,6 @@ def _fantope_project_dense(a: np.ndarray, k: int) -> np.ndarray:
         return np.eye(p)
     w, q = np.linalg.eigh(a)
     return _spectral(q, np.clip(w - _fantope_shift(w, k), 0.0, 1.0))
-
-
-def fantope_project(w: SymMatrix, k: int) -> SymMatrix:
-    """Nearest matrix with eigenvalues in [0, 1] summing to k.
-
-    Eigenvalues are shifted by a scalar nu and clipped to [0, 1];
-    eigenvectors are kept.  The trace of the clipped eigenvalues is
-    piecewise linear in nu with breakpoints at the eigenvalues and the
-    eigenvalues minus one, so nu is found exactly: the trace is evaluated
-    at every breakpoint, the segment that brackets k is picked and one
-    linear interpolation solves on it.  There is no tolerance and no
-    iteration, so the function never raises for 1 <= k <= p; it raises
-    ValueError for any other k.
-    """
-    return SymMatrix.wrap(_fantope_project_dense(w.dense(), k))
 
 
 @_certificate

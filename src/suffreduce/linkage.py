@@ -14,7 +14,6 @@ import numpy as np
 from .symmat import SymMatrix, hadamard
 
 __all__ = [
-    "UnionFind",
     "Dendrogram",
     "Partition",
     "components",
@@ -27,33 +26,6 @@ __all__ = [
     "is_binary_ultrametric",
     "cluster_matrix",
 ]
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -101,6 +73,29 @@ def cluster_matrix(part: Partition) -> SymMatrix:
     return SymMatrix.wrap((lab[:, None] == lab[None, :]).astype(float))
 
 
+def _labels(p: int, ii, jj) -> np.ndarray:
+    """Label of each item 0..p-1 under the edges (ii[k], jj[k]): the
+    smallest item of its component.
+
+    Each round maps every edge onto the roots of its ends, drops the edges
+    whose ends share a root, and hooks each larger end onto the smallest
+    root it shares an edge with.  Only roots are hooked, so a dropped edge
+    stays inside one tree.  Labels only decrease, so no cycle forms and no
+    path to a root is longer than p - 1: p.bit_length() pointer jumps point
+    every item straight at its root before the next round reads it.
+    """
+    lab = np.arange(p)
+    while True:
+        ii, jj = lab[ii], lab[jj]
+        cross = (ii != jj).nonzero()[0]
+        if not cross.size:
+            return lab
+        ii, jj = ii[cross], jj[cross]
+        np.minimum.at(lab, np.maximum(ii, jj), np.minimum(ii, jj))
+        for _ in range(p.bit_length()):
+            lab = lab[lab]
+
+
 def components(adj) -> Partition:
     """Connected components of the graph {(i, j): i != j, adj_ij != 0}.
 
@@ -110,12 +105,8 @@ def components(adj) -> Partition:
     entry (0, 2) is zero.
     """
     adj = np.asarray(adj)
-    p = adj.shape[0]
-    uf = UnionFind(p)
     ii, jj = np.nonzero(np.triu(adj, k=1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        uf.union(i, j)
-    return Partition.from_labels([uf.find(i) for i in range(p)])
+    return Partition.from_labels(_labels(adj.shape[0], ii, jj).tolist())
 
 
 def threshold_components(x: SymMatrix, lam: float) -> Partition:
@@ -168,24 +159,25 @@ def mst_kruskal(x: SymMatrix) -> Dendrogram:
     completes with exactly p - 1 merges.
     """
     p = x.p
-    a = np.abs(x.dense())
-    edges = sorted(
-        ((i, j) for i in range(p - 1) for j in range(i + 1, p)),
-        key=lambda e: (-a[e[0], e[1]], e[0], e[1]),
-    )
-    uf = UnionFind(p)
-    cluster_id = list(range(p))  # current cluster id per root
+    ii, jj = np.triu_indices(p, k=1)
+    w = np.abs(x.dense())[ii, jj]
+    order = np.lexsort((jj, ii, -w))
+    head = list(range(p))  # the leaf that heads each leaf's cluster
+    members = [[i] for i in range(p)]  # leaves of the cluster a leaf heads
+    cluster = list(range(p))  # cluster id of the cluster a leaf heads
     merges = []
-    next_id = p
-    for i, j in edges:
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
+    for i, j, h in zip(ii[order].tolist(), jj[order].tolist(), w[order].tolist()):
+        hi, hj = head[i], head[j]
+        if hi == hj:
             continue
-        ca, cb = cluster_id[ri], cluster_id[rj]
-        merges.append((min(ca, cb), max(ca, cb), float(a[i, j])))
-        uf.union(i, j)
-        cluster_id[uf.find(i)] = next_id
-        next_id += 1
+        ca, cb = cluster[hi], cluster[hj]
+        merges.append((min(ca, cb), max(ca, cb), h))
+        if len(members[hi]) < len(members[hj]):
+            hi, hj = hj, hi
+        for leaf in members[hj]:  # the smaller cluster joins the larger
+            head[leaf] = hi
+        members[hi] += members[hj]
+        cluster[hi] = p + len(merges) - 1
         if len(merges) == p - 1:
             break
     return Dendrogram(p, tuple(merges))
@@ -196,17 +188,15 @@ def cut_dendrogram(dend: Dendrogram, lam: float) -> Partition:
     if not lam >= 0:  # also rejects NaN, which no comparison would select
         raise ValueError(f"threshold must be >= 0, got {lam}")
     p = dend.leaves
-    uf = UnionFind(p)
-    members: dict[int, int] = {i: i for i in range(p)}  # cluster id -> any leaf
-    next_id = p
+    leaf = list(range(p))  # one leaf of each cluster id, applied or not
+    ii, jj = [], []
     for a, b, h in dend.merges:
         if h > lam:
-            uf.union(members[a], members[b])
-        # ids keep advancing even when the merge is not applied, so later
-        # merges referring to this cluster id still resolve to a leaf
-        members[next_id] = members[a]
-        next_id += 1
-    return Partition.from_labels([uf.find(i) for i in range(p)])
+            ii.append(leaf[a])
+            jj.append(leaf[b])
+        leaf.append(leaf[a])
+    ii, jj = np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp)
+    return Partition.from_labels(_labels(p, ii, jj).tolist())
 
 
 def slc(w: SymMatrix, tau: float) -> SymMatrix:

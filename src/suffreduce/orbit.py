@@ -20,7 +20,6 @@ from .symmat import SymMatrix, as_symmetric, hadamard
 __all__ = [
     "MaskProjection",
     "ConditionReport",
-    "sign_majorizes",
     "cut_vertices",
     "cut_membership",
     "conj_majorizes",
@@ -74,19 +73,6 @@ class ConditionReport:
     @property
     def all_hold(self) -> bool:
         return self.averaging and self.dual_feasibility and self.dual_invariance
-
-
-def sign_majorizes(u, v) -> bool:
-    """True iff v = d o u for some entrywise d in [-1, 1].
-
-    Equivalent to |v_i| <= |u_i| for all i; coordinates where u_i = 0 force
-    v_i = 0.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return bool(np.all(np.abs(v) <= np.abs(u)))
 
 
 def cut_vertices(p: int) -> np.ndarray:

@@ -15,8 +15,8 @@ from suffreduce.estimators import (
     Family,
     NoSolutionError,
     SolverOptions,
+    _fantope_project_dense,
     _separable_check,
-    fantope_project,
     fantope_spca,
     glasso,
     ising_logpartition,
@@ -422,50 +422,50 @@ class TestGlasso:
 
 class TestFantopeProject:
     def test_rank_one_projection(self):
-        got = fantope_project(sym(np.diag([3.0, 2.0, 1.0])), 1)
-        assert np.allclose(got.dense(), np.diag([1.0, 0.0, 0.0]), atol=1e-11)
+        got = _fantope_project_dense(np.diag([3.0, 2.0, 1.0]), 1)
+        assert np.allclose(got, np.diag([1.0, 0.0, 0.0]), atol=1e-11)
 
     def test_idempotent_on_projections(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
         proj = q @ q.T
-        got = fantope_project(SymMatrix.from_dense(proj), 2)
-        assert np.allclose(got.dense(), proj, atol=1e-10)
+        got = _fantope_project_dense(proj, 2)
+        assert np.allclose(got, proj, atol=1e-10)
 
     def test_tie_splits_evenly(self):
         # shifting by nu=0.1 leaves 0.5 on each tied eigenvalue
-        got = fantope_project(sym(np.diag([0.6, 0.6])), 1)
-        assert np.allclose(got.dense(), np.diag([0.5, 0.5]), atol=1e-11)
+        got = _fantope_project_dense(np.diag([0.6, 0.6]), 1)
+        assert np.allclose(got, np.diag([0.5, 0.5]), atol=1e-11)
 
     def test_feasibility(self, rng):
         a = rng.standard_normal((6, 6))
-        m = SymMatrix.from_dense((a + a.T) / 2)
+        m = (a + a.T) / 2
         for k in (1, 3, 6):
-            w = np.linalg.eigvalsh(fantope_project(m, k).dense())
+            w = np.linalg.eigvalsh(_fantope_project_dense(m, k))
             assert w.min() >= -1e-10 and w.max() <= 1 + 1e-10
             assert np.sum(w) == pytest.approx(k, abs=1e-9)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            fantope_project(sym(np.eye(2)), 3)
+            _fantope_project_dense(np.eye(2), 3)
 
     def test_flat_trace_segment(self):
         # the trace is 1 for every shift in [0, 2], a flat segment at k
-        got = fantope_project(sym(np.diag([3.0, 0.0])), 1)
-        assert np.allclose(got.dense(), np.diag([1.0, 0.0]), atol=1e-12)
+        got = _fantope_project_dense(np.diag([3.0, 0.0]), 1)
+        assert np.allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("k, want", [(1, [1.0, 0.0, 0.0]), (2, [1.0, 1.0, 0.0])])
     def test_coinciding_breakpoints(self, k, want):
         # eigenvalues exactly 1 apart: w_i - 1 lands on w_{i+1}
-        got = fantope_project(sym(np.diag([2.0, 1.0, 0.0])), k)
-        assert np.allclose(got.dense(), np.diag(want), atol=1e-12)
+        got = _fantope_project_dense(np.diag([2.0, 1.0, 0.0]), k)
+        assert np.allclose(got, np.diag(want), atol=1e-12)
 
     def test_full_rank_gives_identity(self, rng):
         a = rng.standard_normal((4, 4))
         # -0.4 - (-0.4 - 1.0) rounds below 1, so the trace at the lowest
         # breakpoint falls short of p
         for m in ((a + a.T) / 2, np.diag([-0.4, 2.0, 5.0, 0.3])):
-            got = fantope_project(SymMatrix.from_dense(m), 4)
-            assert np.allclose(got.dense(), np.eye(4), atol=1e-12)
+            got = _fantope_project_dense(m, 4)
+            assert np.allclose(got, np.eye(4), atol=1e-12)
 
     def test_shift_matches_independent_root(self, rng):
         for trial in range(200):
@@ -480,7 +480,7 @@ class TestFantopeProject:
                 w = rng.standard_normal(p) * float(rng.uniform(0.1, 5.0))
             a = (q * w) @ q.T
             a = (a + a.T) / 2
-            got = fantope_project(SymMatrix.from_dense(a), k).dense()
+            got = _fantope_project_dense(a, k)
             assert abs(np.trace(got) - k) <= 1e-12 * p
             w = np.linalg.eigvalsh(a)
             nu = brentq(

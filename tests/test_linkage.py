@@ -27,14 +27,78 @@ def sym(rows):
 X3 = sym([[1.0, 0.8, 0.1], [0.8, 1.0, 0.5], [0.1, 0.5, 1.0]])
 
 
-def components_by_closure(x: SymMatrix, lam: float) -> Partition:
-    """Reference implementation: boolean transitive closure of the edge set."""
+def components_by_closure(adj) -> Partition:
+    """Reference implementation: boolean transitive closure of the edge set
+    {(i, j): i != j, adj_ij}, by squaring the reachability matrix until it
+    stops changing.  The 0/1 products run in float32, exact up to 2**24."""
+    reach = np.asarray(adj, dtype=bool) | np.eye(len(adj), dtype=bool)
+    while True:
+        f = reach.astype(np.float32)
+        nxt = (f @ f) > 0
+        if np.array_equal(nxt, reach):
+            return Partition.from_labels(reach.argmax(axis=1).tolist())
+        reach = nxt
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1 with path compression and union by rank."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if self.rank[ri] < self.rank[rj]:
+            ri, rj = rj, ri
+        self.parent[rj] = ri
+        if self.rank[ri] == self.rank[rj]:
+            self.rank[ri] += 1
+
+
+def kruskal_reference(x: SymMatrix) -> Dendrogram:
+    """Reference implementation: Kruskal over a Python sort of every pair by
+    (-|x_ij|, i, j), joining clusters in a union-find."""
     p = x.p
-    adj = (np.abs(x.dense()) > lam) | np.eye(p, dtype=bool)
-    np.fill_diagonal(adj, True)
-    for _ in range(p):
-        adj = adj | (adj @ adj)
-    return Partition.from_labels([int(np.flatnonzero(row)[0]) for row in adj])
+    a = np.abs(x.dense())
+    edges = sorted(
+        ((i, j) for i in range(p - 1) for j in range(i + 1, p)),
+        key=lambda e: (-a[e[0], e[1]], e[0], e[1]),
+    )
+    uf = _UnionFind(p)
+    cluster_id = list(range(p))  # current cluster id per root
+    merges = []
+    for i, j in edges:
+        ri, rj = uf.find(i), uf.find(j)
+        if ri == rj:
+            continue
+        ca, cb = cluster_id[ri], cluster_id[rj]
+        merges.append((min(ca, cb), max(ca, cb), float(a[i, j])))
+        uf.union(i, j)
+        cluster_id[uf.find(i)] = p + len(merges) - 1
+    return Dendrogram(p, tuple(merges))
+
+
+def tied_instance(kind: str, p: int, rng) -> SymMatrix:
+    """Inputs where Kruskal's (i, j) tie-breaking decides the merges."""
+    if kind == "quarters":
+        off = rng.integers(0, 4, (p, p)) / 4.0 * rng.choice([-1.0, 1.0], (p, p))
+    elif kind == "equal":
+        off = np.full((p, p), 0.5)
+    elif kind == "zero":
+        off = np.zeros((p, p))
+    else:
+        return random_instance(rng, p)
+    off = np.triu(off, 1)
+    return SymMatrix.wrap(off + off.T + np.eye(p))
 
 
 class TestPartition:
@@ -83,7 +147,8 @@ class TestThresholdComponents:
             p = int(rng.integers(2, 12))
             x = random_instance(rng, p)
             lam = float(rng.uniform(0, 1.2))
-            assert threshold_components(x, lam) == components_by_closure(x, lam)
+            assert threshold_components(x, lam) == components_by_closure(
+                np.abs(x.dense()) > lam)
 
     def test_sign_irrelevant(self):
         x = sym([[1.0, -0.8], [-0.8, 1.0]])
@@ -100,6 +165,19 @@ class TestComponents:
     def test_diagonal_ignored(self):
         assert components(np.eye(3)).blocks == ((0,), (1,), (2,))
         assert components(np.zeros((2, 2))).blocks == ((0,), (1,))
+
+    def test_permuted_path_matches_closure(self, rng):
+        # a long path in random item order takes label propagation the
+        # most rounds
+        p = 2000
+        order = rng.permutation(p)
+        adj = np.zeros((p, p), dtype=bool)
+        adj[order[:-1], order[1:]] = True
+        adj |= adj.T
+        assert components(adj) == components_by_closure(adj)
+        empty = np.zeros((p, p), dtype=bool)
+        assert components(empty) == components_by_closure(empty)
+        assert len(components(empty)) == p
 
 
 class TestDendrogram:
@@ -134,6 +212,21 @@ class TestDendrogram:
             d = mst_kruskal(x)
             for lam in np.abs(x.dense()[0]) * 0.99:
                 assert cut_dendrogram(d, float(lam)) == threshold_components(x, float(lam))
+
+    @pytest.mark.parametrize("kind", ["quarters", "equal", "zero", "random"])
+    def test_merges_match_reference_kruskal(self, kind, rng):
+        for p in range(1, 41):
+            x = tied_instance(kind, p, rng)
+            assert mst_kruskal(x).merges == kruskal_reference(x).merges
+
+    @pytest.mark.parametrize("kind", ["quarters", "equal", "zero", "random"])
+    def test_cut_at_every_merge_height(self, kind, rng):
+        # the cut is strict, so at a merge height that merge is not applied
+        for p in (2, 7, 16, 40):
+            x = tied_instance(kind, p, rng)
+            d = mst_kruskal(x)
+            for lam in sorted({h for _, _, h in d.merges}):
+                assert cut_dendrogram(d, lam) == threshold_components(x, lam)
 
     def test_always_full_merge_chain(self, rng):
         # zero-weight edges still merge, so every dendrogram has p-1 merges

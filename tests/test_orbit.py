@@ -11,7 +11,6 @@ from suffreduce.orbit import (
     conj_majorizes,
     cut_membership,
     cut_vertices,
-    sign_majorizes,
 )
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
 from suffreduce.symmat import SymMatrix, hadamard
@@ -31,17 +30,6 @@ def in_cut_by_hull(b: SymMatrix, tol=1e-9) -> bool:
     hull = ConvexHull(pts, qhull_options="QJ Pp")
     target = b.dense()[iu]
     return bool(np.all(hull.equations[:, :-1] @ target + hull.equations[:, -1] <= tol))
-
-
-class TestSignMajorizes:
-    def test_basic(self):
-        assert sign_majorizes(np.array([3.0, -2.0]), np.array([1.0, 2.0]))
-        assert sign_majorizes(np.array([3.0, -2.0]), np.array([-3.0, 2.0]))
-        assert not sign_majorizes(np.array([3.0, -2.0]), np.array([3.1, 0.0]))
-
-    def test_zero_always_inside(self, rng):
-        u = rng.standard_normal(10)
-        assert sign_majorizes(u, np.zeros(10))
 
 
 class TestCutVertices:
