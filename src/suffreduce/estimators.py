@@ -3,11 +3,17 @@
 glasso, sparse_cov and positive_invcov run on one ADMM driver, :func:`_admm`
 (one smooth/constrained proximal step, one soft-threshold or projection step,
 scaled dual update, over-relaxation and residual-balanced rho); each solver
-supplies only its two proximal maps, its start point and its certificate.
+supplies only its two proximal maps, its start (primal, and dual if not
+zero) and its certificate.
 The driver runs a stack of same-size problems in lockstep on (B, n, n)
 arrays, with one stacked eigendecomposition per iteration; every step is
 entrywise or per matrix, so each problem follows the iterates it would
 follow alone, bit for bit, and a direct solve is a stack of one.
+glasso starts each problem at the KKT pair read off its soft-thresholded
+input: the dual feasible point w0 = x - clip(x, -lam, lam) (x_ii + lam_ii on
+the diagonal) gives the dual start (w0 - x) / rho and, where w0 is positive
+definite and w0^-1 has the lower objective, the primal start w0^-1, else
+diag(1/x_ii); positive_invcov takes the matching dual start alone.
 Each problem's ADMM map on (z, u) is Anderson-accelerated (type II, memory
 ``_AA_MEMORY``): the next point mixes the last map outputs so as to shrink
 the fixed-point residual, which about halves the iterations.  The memory is
@@ -233,13 +239,14 @@ def _diag(d) -> np.ndarray:
     return out
 
 
-def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol):
+def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=None):
     """Over-relaxed scaled ADMM with residual-balanced rho for B independent
     problems min f_b(theta) + g(z) s.t. theta = z (Boyd et al. 2011, sec.
     3.4.1), run in lockstep on stacked arrays and Anderson-accelerated.
 
-    ``x`` (B, n, n) holds the problems' inputs, ``z0`` their start points and
-    ``tol`` their tolerances.  ``prox_f(v, rho, x)`` and ``prox_g(a, rho)``
+    ``x`` (B, n, n) holds the problems' inputs, ``z0`` their start points,
+    ``u0`` their scaled dual start points (None: zero) and ``tol`` their
+    tolerances.  ``prox_f(v, rho, x)`` and ``prox_g(a, rho)``
     return argmin f + rho/2 |. - v|^2 and argmin g + rho/2 |. - a|^2 for the
     stack of problems still running, given their inputs x and their rho as
     one float when they share it, else as a (B, 1, 1) column.  Each step is
@@ -282,6 +289,8 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol):
     count, n = z0.shape[:2]
     w = np.zeros((count, 2, n, n))  # the point (z, u) of each problem
     w[:, 0] = z0
+    if u0 is not None:
+        w[:, 1] = u0
     # the secant pairs (dF, dG) go to slot it % _AA_MEMORY of every problem;
     # a problem forgets by zeroing its slots, which the regularized normal
     # equations then give a weight of exactly 0
@@ -411,24 +420,25 @@ def _cholesky(z):
         return np.array(pos), np.stack(low)
 
 
-def _inverse(z):
+def _inverse(z, factor=None):
     """(positive definite, inverse) of a matrix or of each member of a stack
-    (..., n, n), from one Cholesky factor z = L L^T as inv(L)^T inv(L).  The
-    inverse of a member that is not positive definite is meaningless, but
-    computed without a division by zero.  A 1x1 member takes the exact
-    reciprocal."""
+    (..., n, n), from one Cholesky factor z = L L^T as inv(L)^T inv(L);
+    ``factor`` is _cholesky(z) when the caller has it.  The inverse of a
+    member that is not positive definite is meaningless, but computed
+    without a division by zero.  A 1x1 member takes the exact reciprocal."""
     if z.shape[-1] == 1:
         pos = z[..., 0, 0] > 0.0
         return pos, 1.0 / np.where(pos[..., None, None], z, 1.0)
-    pos, low = _cholesky(z)
+    pos, low = _cholesky(z) if factor is None else factor
     inv = np.linalg.inv(low)
     return pos, inv.mT @ inv
 
 
-def _logdet_objectives(z, rest):
+def _logdet_objectives(z, rest, factor=None):
     """-log det(z) + rest for each member of a stack z (B, n, n), from its
-    Cholesky factor; inf where z is not positive definite."""
-    pos, low = _cholesky(z)
+    Cholesky factor ``factor`` (computed when None); inf where z is not
+    positive definite."""
+    pos, low = _cholesky(z) if factor is None else factor
     logdet = 2.0 * np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)
     return np.where(pos, rest - logdet, np.inf)
 
@@ -491,10 +501,10 @@ def _lambda_matrix(lam, p: int, penalize_diagonal: bool) -> np.ndarray:
 
 
 @_certificate
-def _glasso_kkt(s, lam_mat, z, top=None):
+def _glasso_kkt(s, lam_mat, z, top=None, factor=None):
     """KKT residual at z, for one matrix or each member of a stack (..., n, n):
-    inf where z is not positive definite."""
-    pos, inv = _inverse(z)
+    inf where z is not positive definite.  ``factor``: _cholesky(z), if known."""
+    pos, inv = _inverse(z, factor)
     e = inv - s
     # on the support z != 0, where copysign is lam * sign(z) without inf * 0
     r = np.where(_support(z, top), np.abs(e - np.copysign(lam_mat, z)),
@@ -502,12 +512,13 @@ def _glasso_kkt(s, lam_mat, z, top=None):
     return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
-def _glasso_objectives(s, lam_mat, z) -> np.ndarray:
+def _glasso_objectives(s, lam_mat, z, factor=None) -> np.ndarray:
     """The objective of each member of a stack (B, n, n) under the weights
-    lam_mat (n, n); inf where z is not positive definite."""
+    lam_mat (n, n); inf where z is not positive definite.  ``factor``:
+    _cholesky(z), if known."""
     # a zero entry pays no penalty, also under an infinite weight (inf * 0 is nan)
     terms = s * z + np.where(z != 0.0, lam_mat, 0.0) * np.abs(z)
-    return _logdet_objectives(z, np.sum(terms, axis=(-2, -1)))
+    return _logdet_objectives(z, np.sum(terms, axis=(-2, -1)), factor)
 
 
 def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
@@ -520,7 +531,12 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
 
     ADMM with a log-det proximal step (one eigendecomposition per
     iteration) and an entrywise soft threshold; the soft-thresholded iterate
-    is reported, so zeros in the solution are exact.
+    is reported, so zeros in the solution are exact.  It starts from the
+    dual feasible point w0 read off the soft-thresholded input (see
+    _glasso_start): the dual at (w0 - x) / rho, and the primal at w0^-1
+    unless w0 is not positive definite or diag(1/x_ii) has the lower
+    objective.  On a block whose w0^-1 meets the KKT conditions, as on an
+    equicorrelated one, the first iteration certifies.
     """
     opts = opts or SolverOptions()
     s = x.dense()
@@ -528,6 +544,26 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
     [(theta, kkt, it)] = _glasso_stack(s[None], lam_mat, opts)
     return _report_matrix(theta, float(_glasso_objectives(s[None], lam_mat, theta[None])[0]),
                           kkt, it, True)
+
+
+def _glasso_start(s, lam_mat, d):
+    """The ADMM start of each member of a stack s (B, n, n) with diagonals d:
+    (z0, w0).  w0 = s - clip(s, -lam, lam) off the diagonal and s_ii +
+    lam_ii on it is dual feasible (Fattahi & Sojoudi, JMLR 2019): on a
+    block whose |s_ij| all exceed lam_ij and whose inverse w0^-1 has the
+    opposite signs, w0^-1 is the solution.  z0 is w0^-1 where w0 is
+    positive definite and that point has a lower objective than diag(1/d),
+    and diag(1/d) elsewhere: against the dual bound log det w0 + n, the
+    start with the smaller duality gap.  The guard keeps a nearly singular
+    w0, whose inverse can start far off, from costing iterations."""
+    lam_3d = lam_mat[None]
+    w0 = s - np.clip(s, -lam_3d, lam_3d)
+    i = np.arange(s.shape[-1])
+    w0[:, i, i] = d + np.diag(lam_mat)
+    pos, warm = _inverse(w0)
+    cold = _diag(1.0 / np.clip(d, 1e-8, None))
+    pos &= _glasso_objectives(s, lam_mat, warm) < _glasso_objectives(s, lam_mat, cold)
+    return np.where(pos[:, None, None], warm, cold), w0
 
 
 def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
@@ -545,15 +581,17 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
     tol = opts.tol * _scales(s)
     if lam_mat.any():
         lam_3d = lam_mat[None]  # a (p, p) operand broadcast against a stack is slower
+        z0, w0 = _glasso_start(s, lam_mat, d)
         return _admm(
             "glasso",
             s,
-            _diag(1.0 / np.clip(d, 1e-8, None)),
+            z0,
             _logdet_prox,
             lambda a, rho: _soft(a, lam_3d / rho),
             lambda xs, theta, z: (_glasso_kkt(xs, lam_mat, z), z),
             opts,
             tol,
+            u0=(w0 - s) / opts.rho,
         )
     wv, q = np.linalg.eigh(s)
     low = np.flatnonzero(wv[:, 0] <= 1e-12)
@@ -780,10 +818,10 @@ def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
 # =====================================================================
 
 @_certificate
-def _positive_invcov_kkt(s, z, top=None):
+def _positive_invcov_kkt(s, z, top=None, factor=None):
     """KKT residual at z, for one matrix or each member of a stack (..., n, n):
-    inf where z is not positive definite."""
-    pos, inv = _inverse(z)
+    inf where z is not positive definite.  ``factor``: _cholesky(z), if known."""
+    pos, inv = _inverse(z, factor)
     e = inv - s
     # |e| on the diagonal and the off-diagonal support, else the sign excess
     free = np.eye(z.shape[-1], dtype=bool) | _support(z, top)
@@ -791,10 +829,10 @@ def _positive_invcov_kkt(s, z, top=None):
     return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
-def _positive_invcov_objectives(s, z) -> np.ndarray:
+def _positive_invcov_objectives(s, z, factor=None) -> np.ndarray:
     """The objective of each member of a stack (B, n, n); inf where z is not
-    positive definite."""
-    return _logdet_objectives(z, np.sum(s * z, axis=(-2, -1)))
+    positive definite.  ``factor``: _cholesky(z), if known."""
+    return _logdet_objectives(z, np.sum(s * z, axis=(-2, -1)), factor)
 
 
 def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveReport:
@@ -828,6 +866,8 @@ def _positive_invcov_stack(s, opts: SolverOptions) -> list:
         lambda xs, theta, z: (_positive_invcov_kkt(xs, z), z),
         opts,
         opts.tol * _scales(s),
+        # the dual of the dual feasible point s + max(-s, 0) off the diagonal
+        u0=np.where(off_mask, np.maximum(-s, 0.0), 0.0) / opts.rho,
     )
 
 
@@ -972,10 +1012,13 @@ class _Record:
     its certificate.  A vector family (``matrix=False``) gives
     ``residual(spec, x, theta)`` and ``objective(spec, x, theta)``.  A matrix
     family is checked block by block, on stacks (B, n, n) of same-size
-    blocks: ``piece(spec, xs, thetas)`` gives each block's share of the
+    blocks: ``share(spec, xs, thetas)`` computes once what a stack's residual
+    and objective both need (for glasso the weights and the Cholesky
+    factors, for positive_invcov the factors, for Ising the enumerations),
+    ``piece(spec, xs, thetas, shared)`` gives each block's share of the
     objective (for glasso and positive_invcov its whole objective, so the
     objective is the sum of the pieces; for Ising its enumeration),
-    ``residual(spec, xs, thetas, top, pieces)`` each block's KKT residual,
+    ``residual(spec, xs, thetas, top, shared)`` each block's KKT residual,
     and ``objective(spec, x, theta, pieces)`` assembles the objective from
     the pieces of all blocks in partition order.
     ``couples``: the blocks share a constraint.  ``stack(spec, xs)``: the
@@ -988,7 +1031,8 @@ class _Record:
     run: Callable
     residual: Callable
     objective: Callable
-    piece: Callable = lambda spec, xs, thetas: [None] * len(thetas)
+    share: Callable = lambda spec, xs, thetas: None
+    piece: Callable = lambda spec, xs, thetas, shared: [None] * len(thetas)
     needs: tuple[str, ...] = ()
     matrix: bool = True
     couples: bool = False
@@ -1039,9 +1083,6 @@ def _ising_pieces(spec, xs, thetas) -> list:
 
 
 def _ising_block_kkt(spec, s, t, top, enumerated) -> list:
-    # the blocks' enumerations are shared with the objective; a check that
-    # computes no objective enumerates here instead
-    enumerated = enumerated or _ising_pieces(spec, s, t)
     return [_ising_kkt(np.asarray(moment) - s_b, _lam(spec), t_b, top=top)
             for s_b, t_b, (_, moment) in zip(s, t, enumerated)]
 
@@ -1062,9 +1103,9 @@ _FAMILIES = {
         run=lambda spec, x: glasso(x, spec.penalty.weights, spec.opts, spec.penalize_diagonal),
         # the weights of one block, so a decomposed check builds no p x p
         # weight matrix
-        piece=lambda spec, s, t: _glasso_objectives(s, _glasso_lam(spec, t.shape[-1]), t),
-        residual=lambda spec, s, t, top, _: _glasso_kkt(
-            s, _glasso_lam(spec, s.shape[-1]), t, top=top),
+        share=lambda spec, s, t: (_glasso_lam(spec, t.shape[-1]), _cholesky(t)),
+        piece=lambda spec, s, t, sh: _glasso_objectives(s, sh[0], t, sh[1]),
+        residual=lambda spec, s, t, top, sh: _glasso_kkt(s, sh[0], t, top=top, factor=sh[1]),
         objective=lambda spec, s, t, pieces: float(np.sum(pieces)),
         stack=lambda spec, xs: _glasso_stack(xs, _glasso_lam(spec, xs.shape[-1]), spec.opts),
     ),
@@ -1088,15 +1129,18 @@ _FAMILIES = {
     Family.POSITIVE_INVCOV: _Record(
         PenaltyKind.OFFDIAG_POSITIVITY, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: positive_invcov(x, spec.opts),
-        piece=lambda spec, s, t: _positive_invcov_objectives(s, t),
-        residual=lambda spec, s, t, top, _: _positive_invcov_kkt(s, t, top=top),
+        share=lambda spec, s, t: _cholesky(t),
+        piece=lambda spec, s, t, factor: _positive_invcov_objectives(s, t, factor),
+        residual=lambda spec, s, t, top, factor: _positive_invcov_kkt(s, t, top=top,
+                                                                      factor=factor),
         objective=lambda spec, s, t, pieces: float(np.sum(pieces)),
         stack=lambda spec, xs: _positive_invcov_stack(xs, spec.opts),
     ),
     Family.ISING_PMLE: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: ising_pmle(x, _lam(spec), spec.opts),
-        piece=_ising_pieces,
+        share=_ising_pieces,
+        piece=lambda spec, s, t, enumerated: enumerated,
         residual=_ising_block_kkt,
         objective=lambda spec, s, t, lms: _ising_objective(
             s, _lam(spec), t, sum(logz for logz, _ in lms)),
@@ -1221,12 +1265,12 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
     pieces = [None] * len(partition.blocks)
     for (members, ix), t in zip(groups, thetas):
         sb = s[ix]
-        group_pieces = rec.piece(spec, sb, t) if objective else None
+        shared = rec.share(spec, sb, t)
         if objective:
-            for i, piece in zip(members, group_pieces):
+            for i, piece in zip(members, rec.piece(spec, sb, t, shared)):
                 pieces[i] = piece
         if residual:
-            resid.append(float(np.max(rec.residual(spec, sb, t, top, group_pieces))))
+            resid.append(float(np.max(rec.residual(spec, sb, t, top, shared))))
     if residual and np.isnan(resid).any():
         # max() keeps its first argument against a NaN, so a NaN term would
         # otherwise vanish from the residual

@@ -16,6 +16,7 @@ from suffreduce.estimators import (
     NoSolutionError,
     SolverOptions,
     _fantope_project_dense,
+    _glasso_start,
     _separable_check,
     fantope_spca,
     glasso,
@@ -256,7 +257,7 @@ class TestStackedDriver:
         return (EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
                 SymMatrix.wrap(np.where(same, d, -np.abs(d))))
 
-    # blocks exit the stack at iterations 22-24 (glasso), 42-54
+    # blocks exit the stack at iterations 1-17 (glasso), 42-54
     # (positive_invcov) and 8-12 (sparse_cov)
     @pytest.mark.parametrize("seed", [20240817, 7])
     @pytest.mark.parametrize("case", ["glasso", "positive_invcov", "sparse_cov"])
@@ -309,7 +310,7 @@ class TestStackedDriver:
         # blocks of sizes 3, 4, 3: the 3x3 stack meets the NoSolutionError of
         # its second block first, but the 4x4 block, first in partition
         # order, stalls, and a block-by-block solve raises its error
-        easy = np.full((3, 3), 0.2) + 0.8 * np.eye(3)  # 7 iterations alone
+        easy = np.full((3, 3), 0.2) + 0.8 * np.eye(3)  # 1 iteration alone
         # nearly singular, with variances 1 to 1000: 250 iterations alone
         d = np.sqrt([1.0, 10.0, 100.0, 1000.0])
         slow = (np.full((4, 4), 0.999) + 0.001 * np.eye(4)) * np.outer(d, d)
@@ -331,6 +332,99 @@ class TestStackedDriver:
         rep = solve_decomposed(spec, x)
         assert rep.converged
         assert rep.iterations == sum(b.iterations for b in rep.blocks) <= 0.7 * plain
+
+    # summed block iterations from the start diag(1/d) with a zero dual, on
+    # a planted input (10 blocks of 20, within 0.6, cross 0.05, tol 1e-7)
+    @pytest.mark.parametrize("lam, cold", [(0.3, 187), (0.4, 178)])
+    def test_dual_feasible_start_cuts_planted_iterations(self, lam, cold):
+        x = random_instance(np.random.default_rng(20240817), 200, n_blocks=10,
+                            within=0.6, cross=0.05)
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                             opts=SolverOptions(tol=1e-7))
+        rep = solve_decomposed(spec, x)
+        assert rep.converged and len(rep.blocks) == 10
+        assert rep.iterations <= 0.5 * cold
+
+
+class TestDualFeasibleStart:
+    """glasso's ADMM starts each problem at w0^-1, where w0 is the soft
+    threshold of x at the weights off the diagonal and x_ii + lam_ii on it,
+    when w0 is positive definite and that point has a lower objective than
+    diag(1/d); else at diag(1/d).  The dual starts at (w0 - x) / rho."""
+
+    # w0 at lam 0.4 is positive definite, but nearly singular (min eig 0.025)
+    NEAR = np.array([[0.73, 1.66, -0.37, 0.63], [1.66, 6.04, -1.33, 1.9],
+                     [-0.37, -1.33, 0.48, -0.42], [0.63, 1.9, -0.42, 0.69]])
+    # w0 at lam 0.4 is indefinite (min eig -0.041)
+    INDEFINITE = np.array([[1.1, -1.95, -0.42, 0.46], [-1.95, 4.68, 1.61, -1.38],
+                           [-0.42, 1.61, 0.97, -0.43], [0.46, -1.38, -0.43, 0.57]])
+
+    @staticmethod
+    def _equi(n):
+        return 0.6 * np.ones((n, n)) + 0.4 * np.eye(n)
+
+    @staticmethod
+    def _w0(s, lam_mat):
+        w0 = np.sign(s) * np.maximum(np.abs(s) - lam_mat, 0.0)
+        np.fill_diagonal(w0, np.diag(s) + np.diag(lam_mat))
+        return w0
+
+    @staticmethod
+    def _start(s, lam_mat):
+        return _glasso_start(s[None], lam_mat, np.diag(s)[None])[0][0]
+
+    def _certified(self, s, lam, **kw):
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
+                             opts=OPTS, **kw)
+        rep = solve(spec, s)
+        assert rep.converged
+        assert kkt_residual(spec, s, rep.theta) <= OPTS.tol * (1.0 + np.max(np.abs(s)))
+        return rep
+
+    @pytest.mark.parametrize("diag", [False, True])
+    @pytest.mark.parametrize("lam", [0.2, 0.5])
+    def test_equicorrelated_block_is_solved_by_its_start(self, lam, diag):
+        # w0 = a 11^T + b I: its inverse has negative off-diagonal entries,
+        # which meet the KKT conditions exactly
+        s = self._equi(5)
+        rep = self._certified(s, lam, penalize_diagonal=diag)
+        assert rep.iterations == 1
+        lam_mat = np.full((5, 5), lam) if diag else lam * (1.0 - np.eye(5))
+        w0_inv = np.linalg.inv(self._w0(s, lam_mat))
+        assert np.max(np.abs(rep.theta.dense() - w0_inv)) <= 1e-12
+
+    def test_indefinite_w0_starts_at_the_diagonal(self):
+        s = np.full((3, 3), 0.9)
+        np.fill_diagonal(s, 1.0)
+        weights = np.zeros((3, 3))
+        weights[0, 1] = weights[1, 0] = 0.9
+        assert np.linalg.eigvalsh(self._w0(s, weights))[0] < -0.27
+        assert np.array_equal(self._start(s, weights), np.eye(3))
+        self._certified(s, weights)
+
+    def test_guard_keeps_the_diagonal_on_a_near_singular_w0(self):
+        lam_mat = 0.4 * (1.0 - np.eye(4))
+        assert 0.0 < np.linalg.eigvalsh(self._w0(self.NEAR, lam_mat))[0] < 0.03
+        assert np.array_equal(self._start(self.NEAR, lam_mat), np.diag(1.0 / np.diag(self.NEAR)))
+        self._certified(self.NEAR, 0.4)
+
+    def test_mixed_starts_in_one_stack_match_each_block_alone(self):
+        lam_mat = 0.4 * (1.0 - np.eye(4))
+        blocks = [self._equi(4), self.NEAR, self.INDEFINITE, 2.0 * self._equi(4)]
+        starts = [self._start(b, lam_mat) for b in blocks]
+        assert np.allclose(starts[0], np.linalg.inv(self._w0(blocks[0], lam_mat)))
+        assert np.array_equal(starts[1], np.diag(1.0 / np.diag(blocks[1])))
+        assert np.linalg.eigvalsh(self._w0(blocks[2], lam_mat))[0] < 0.0
+        assert np.array_equal(starts[2], np.diag(1.0 / np.diag(blocks[2])))
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.4), opts=OPTS)
+        rep = solve_decomposed(spec, SymMatrix.wrap(block_diag(*blocks)))
+        assert rep.converged and [len(b.indices) for b in rep.blocks] == [4] * 4
+        theta = rep.theta.dense()
+        for stat, b in zip(rep.blocks, blocks):
+            alone = solve(spec, b)
+            assert stat.iterations == alone.iterations
+            ix = np.ix_(stat.indices, stat.indices)
+            assert theta[ix].tobytes() == alone.theta.dense().tobytes()
 
 
 class TestClosedForms:
@@ -1083,6 +1177,14 @@ class TestSizeGroups:
     T = np.array([2.0, 1e-7, 0.0, -0.5, 1.3])
     TOP = 100.0
 
+    @classmethod
+    def _hooks(cls, rec, spec, s, t, top=None):
+        """The objective pieces and residuals a check takes from the record
+        for the stack (s, t)."""
+        shared = rec.share(spec, s, t)
+        return (rec.piece(spec, s, t, shared),
+                rec.residual(spec, s, t, cls.TOP if top is None else top, shared))
+
     @pytest.mark.parametrize("family, penalty, diag", [
         (Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), False),
         (Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), True),
@@ -1093,11 +1195,10 @@ class TestSizeGroups:
         spec = EstimatorSpec(family, penalty, penalize_diagonal=diag)
         rec = _FAMILIES[family]
         s, t = self.D[:, None, None], self.T[:, None, None]
-        pieces = rec.piece(spec, s, t)
-        stacked = rec.residual(spec, s, t, self.TOP, pieces)
+        pieces, stacked = self._hooks(rec, spec, s, t)
         for i in range(len(self.D)):
-            piece = rec.piece(spec, s[i:i + 1], t[i:i + 1])
-            assert stacked[i] == rec.residual(spec, s[i:i + 1], t[i:i + 1], self.TOP, piece)[0]
+            piece, alone = self._hooks(rec, spec, s[i:i + 1], t[i:i + 1])
+            assert stacked[i] == alone[0]
             assert np.array_equal(pieces[i], piece[0])
         assert np.all(np.isinf(stacked[self.T <= 0.0]))
         assert np.all(np.isfinite(stacked[self.T > 0.0]))
@@ -1106,20 +1207,16 @@ class TestSizeGroups:
         spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2))
         rec = _FAMILIES[Family.ISING_PMLE]
         s, t = self.D[:, None, None], np.zeros((len(self.D), 1, 1))
-        pieces = rec.piece(spec, s, t)
-        stacked = rec.residual(spec, s, t, self.TOP, pieces)
+        pieces, stacked = self._hooks(rec, spec, s, t)
         for i in range(len(self.D)):
-            [(logz, moment)] = rec.piece(spec, s[i:i + 1], t[i:i + 1])
-            assert stacked[i] == rec.residual(spec, s[i:i + 1], t[i:i + 1], self.TOP, None)[0]
+            [(logz, moment)], alone = self._hooks(rec, spec, s[i:i + 1], t[i:i + 1])
+            assert stacked[i] == alone[0]
             assert pieces[i][0] == logz and pieces[i][1] == moment
         # a nonzero diagonal is refused as the enumeration refuses it
         with pytest.raises(ValueError, match="zero diagonal"):
-            rec.residual(spec, np.eye(1)[None], np.eye(1)[None], 1.0, None)
-        nonzero = self.T[:, None, None]
-        for part in (lambda: rec.residual(spec, s, nonzero, self.TOP, None),
-                     lambda: rec.piece(spec, s, nonzero)):
-            with pytest.raises(ValueError, match="zero diagonal"):
-                part()
+            rec.share(spec, np.eye(1)[None], np.eye(1)[None])
+        with pytest.raises(ValueError, match="zero diagonal"):
+            rec.share(spec, s, self.T[:, None, None])
 
     @staticmethod
     def _mixed(family):
@@ -1155,8 +1252,8 @@ class TestSizeGroups:
         residuals, pieces = [], []
         for blk in partition.blocks:
             ix = np.ix_(blk, blk)
-            piece = rec.piece(spec, x[ix][None], theta[ix][None])
-            residuals.append(float(rec.residual(spec, x[ix][None], theta[ix][None], top, piece)[0]))
+            piece, resid = self._hooks(rec, spec, x[ix][None], theta[ix][None], top)
+            residuals.append(float(resid[0]))
             pieces.append(piece[0])
         kkt, objective = _separable_check(spec, x, theta, partition)
         assert kkt == max(residuals) > 0.0
