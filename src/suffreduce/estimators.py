@@ -180,6 +180,12 @@ def _scale(a) -> float:
     return 1.0 + float(np.max(np.abs(a))) if np.size(a) else 1.0
 
 
+def _absmax(a) -> float:
+    """max|a| as max(max a, -min a), with no temporary the size of a; nan
+    when a has a NaN entry."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def _support(theta: np.ndarray, top: float | None = None) -> np.ndarray:
     """|theta| > SUPPORT_REL_TOL * top; top defaults to max|theta| over the
     last two axes, so over each member of a stack (B, n, n)."""
@@ -434,13 +440,17 @@ def _inverse(z, factor=None):
     return pos, inv.mT @ inv
 
 
+def _logdets(low):
+    """log det of each member of a stack from its lower Cholesky factor."""
+    return 2.0 * np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)
+
+
 def _logdet_objectives(z, rest, factor=None):
     """-log det(z) + rest for each member of a stack z (B, n, n), from its
     Cholesky factor ``factor`` (computed when None); inf where z is not
     positive definite."""
     pos, low = _cholesky(z) if factor is None else factor
-    logdet = 2.0 * np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)
-    return np.where(pos, rest - logdet, np.inf)
+    return np.where(pos, rest - _logdets(low), np.inf)
 
 
 def _spectral(q, gamma):
@@ -512,13 +522,18 @@ def _glasso_kkt(s, lam_mat, z, top=None, factor=None):
     return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
+def _glasso_linear(s, lam_mat, z) -> np.ndarray:
+    """<s, z> + sum_ij lam_ij |z_ij| for each member of a stack (B, n, n)."""
+    # a zero entry pays no penalty, also under an infinite weight (inf * 0 is nan)
+    terms = s * z + np.where(z != 0.0, lam_mat, 0.0) * np.abs(z)
+    return np.sum(terms, axis=(-2, -1))
+
+
 def _glasso_objectives(s, lam_mat, z, factor=None) -> np.ndarray:
     """The objective of each member of a stack (B, n, n) under the weights
     lam_mat (n, n); inf where z is not positive definite.  ``factor``:
     _cholesky(z), if known."""
-    # a zero entry pays no penalty, also under an infinite weight (inf * 0 is nan)
-    terms = s * z + np.where(z != 0.0, lam_mat, 0.0) * np.abs(z)
-    return _logdet_objectives(z, np.sum(terms, axis=(-2, -1)), factor)
+    return _logdet_objectives(z, _glasso_linear(s, lam_mat, z), factor)
 
 
 def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
@@ -555,15 +570,21 @@ def _glasso_start(s, lam_mat, d):
     positive definite and that point has a lower objective than diag(1/d),
     and diag(1/d) elsewhere: against the dual bound log det w0 + n, the
     start with the smaller duality gap.  The guard keeps a nearly singular
-    w0, whose inverse can start far off, from costing iterations."""
+    w0, whose inverse can start far off, from costing iterations.  One
+    Cholesky factor of w0 gives w0^-1 and scores it, as log det w0^-1 =
+    -log det w0; diag(1/d) is scored in closed form."""
     lam_3d = lam_mat[None]
     w0 = s - np.clip(s, -lam_3d, lam_3d)
     i = np.arange(s.shape[-1])
-    w0[:, i, i] = d + np.diag(lam_mat)
-    pos, warm = _inverse(w0)
-    cold = _diag(1.0 / np.clip(d, 1e-8, None))
-    pos &= _glasso_objectives(s, lam_mat, warm) < _glasso_objectives(s, lam_mat, cold)
-    return np.where(pos[:, None, None], warm, cold), w0
+    lam_d = np.diag(lam_mat)
+    w0[:, i, i] = d + lam_d
+    factor = _cholesky(w0)
+    pos, warm = _inverse(w0, factor)
+    dc = np.clip(d, 1e-8, None)
+    # the objective of diag(1/dc): sum_i (d_i + lam_ii) / dc_i + log dc_i
+    cold = np.sum((d + lam_d) / dc + np.log(dc), axis=-1)
+    pos &= _glasso_linear(s, lam_mat, warm) + _logdets(factor[1]) < cold
+    return np.where(pos[:, None, None], warm, _diag(1.0 / dc)), w0
 
 
 def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
@@ -1243,8 +1264,7 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
     rec = _family(spec)
     s = np.asarray(x, dtype=float)
     td = np.asarray(theta, dtype=float)
-    # max|theta| with no p x p temporary; nan or inf when an entry is
-    top = max(float(td.max()), -float(td.min()))
+    top = _absmax(td)  # nan or inf when an entry is
     if not np.isfinite(top):
         return np.inf, np.nan
     groups = _size_groups(partition)
@@ -1294,8 +1314,14 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     A 1x1 block is a member like any other: glasso with an unpenalized
     diagonal gives it theta_ii = 1/x_ii and Ising theta_ii = 0, both at 0
     iterations.  The blocks of a stack report an equal share of its seconds.
-    If a block fails, the error is the one that solving the blocks one by
-    one in partition order would raise first.  The reassembled theta is
+    Each stack is symmetrized, (t + t^T) / 2, before it is scattered: the
+    two mirror entries of theta lie in one block, so theta gets the bits
+    that symmetrizing the whole matrix would give, and is stored as it is.
+    Its support is found on the stacks against max|theta| over all of
+    them; off the blocks theta is zero, which is never on the support.  No
+    p x p pass symmetrizes theta or classifies its support.  If a block
+    fails, the error is the one that solving the blocks one by one in
+    partition order would raise first.  The reassembled theta is
     certified block by block against the original input
     (:func:`_separable_check`), which gives :func:`kkt_residual` and
     :func:`objective_at` up to rounding; ``converged`` means that residual
@@ -1320,11 +1346,15 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     blocks = partition.blocks
     theta = np.zeros((xm.p, xm.p))
     stats = [None] * len(blocks)
+    stacks = []
     try:
         for members, ix in _size_groups(partition):
             start = time.perf_counter()
             solved = rec.stack(spec, s[ix])
-            theta[ix] = np.stack([theta_b for theta_b, _, _ in solved])
+            t = np.stack([theta_b for theta_b, _, _ in solved])
+            t = (t + t.mT) / 2.0
+            theta[ix] = t
+            stacks.append((ix, t))
             share = (time.perf_counter() - start) / len(members)
             for i, (_, _, it) in zip(members, solved):
                 stats[i] = BlockStat(blocks[i], it, share)
@@ -1335,8 +1365,13 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
             rec.stack(spec, s[np.ix_(blk, blk)][None])
         raise
 
-    theta = SymMatrix.wrap(theta)
+    top = max(_absmax(t) for _, t in stacks)
+    support = np.zeros((xm.p, xm.p), dtype=bool)
+    for ix, t in stacks:
+        support[ix] = _support(t, top)
+    del stacks, t  # no copy of the blocks lives through the check
+    theta = SymMatrix(theta)  # exactly symmetric already
     kkt, objective = _separable_check(spec, xm, theta, partition)
-    converged = kkt <= spec.opts.tol * _scale(s)
+    converged = kkt <= spec.opts.tol * (1.0 + _absmax(s))
     return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),
-                       converged, _support(np.asarray(theta)), tuple(stats))
+                       converged, support, tuple(stats))

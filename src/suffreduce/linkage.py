@@ -97,23 +97,29 @@ def _labels(p: int, ii, jj) -> np.ndarray:
 
 
 def components(adj) -> Partition:
-    """Connected components of the graph {(i, j): i != j, adj_ij != 0}.
+    """Connected components of the graph {(i, j): i < j, adj_ij != 0}.
 
     ``adj`` is a symmetric (p, p) array, typically a boolean graph or a 0/1
-    mask; only its upper triangle is read and the diagonal is ignored.  The
-    relation need not be transitive: a path 0-1-2 gives one block even when
-    entry (0, 2) is zero.
+    mask; only its upper triangle is read, so an entry below the diagonal
+    or on it makes no edge.  The relation need not be transitive: a path
+    0-1-2 gives one block even when entry (0, 2) is zero.  The edges come
+    from one flat pass: the flat positions of the nonzero entries, split
+    into (row, column) by divmod, keeping row < column.
     """
     adj = np.asarray(adj)
-    ii, jj = np.nonzero(np.triu(adj, k=1))
-    return Partition.from_labels(_labels(adj.shape[0], ii, jj).tolist())
+    p = adj.shape[0]
+    ii, jj = np.divmod(np.flatnonzero(adj), p)
+    upper = ii < jj
+    return Partition.from_labels(_labels(p, ii[upper], jj[upper]).tolist())
 
 
 def threshold_components(x: SymMatrix, lam: float) -> Partition:
-    """Connected components of the graph {(i, j): i != j, |x_ij| > lam}."""
+    """Connected components of the graph {(i, j): i < j, |x_ij| > lam}.
+
+    x is read in place, not copied; it is left untouched."""
     if not lam >= 0:  # also rejects NaN, which no comparison would select
         raise ValueError(f"threshold must be >= 0, got {lam}")
-    return components(np.abs(x.dense()) > lam)
+    return components(np.abs(np.asarray(x)) > lam)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,11 @@ class SymMatrix:
 
     Construct via :meth:`from_dense` (checked input) or :meth:`wrap`; both
     store the average of the array and its transpose, so the two mirror
-    entries of every pair are the same bits.  ``np.asarray(m)`` reads the
-    stored array without a copy; :meth:`dense` returns a writable copy.
+    entries of every pair are the same bits.  The dataclass constructor
+    ``SymMatrix(a)`` stores ``a`` as given, unaveraged and with only its
+    shape checked, so it is only for arrays that are already exactly
+    symmetric.  ``np.asarray(m)`` reads the stored array without a copy;
+    :meth:`dense` returns a writable copy.
     Equality and hashing go by value; the stored array is read-only, so a
     SymMatrix can be a dict key.
     """

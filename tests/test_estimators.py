@@ -18,6 +18,7 @@ from suffreduce.estimators import (
     _fantope_project_dense,
     _glasso_start,
     _separable_check,
+    _support,
     fantope_spca,
     glasso,
     ising_logpartition,
@@ -1140,6 +1141,72 @@ class TestSolveDecomposed:
             objective += direct.objective
             start += len(piece)
         assert rep.objective == pytest.approx(objective, rel=1e-12)
+
+
+class TestFlatPlumbing:
+    """solve_decomposed symmetrizes theta per stack and finds its support
+    per stack; both must give the bits of doing it on the p x p theta."""
+
+    @staticmethod
+    def _planted(draw, sizes):
+        # blocks of several sizes, 1x1 ones among them, interleaved by a
+        # fixed permutation so that no block is a contiguous range
+        rng = np.random.default_rng(11)
+        a = block_diag(*[draw(rng, n).dense() for n in sizes])
+        order = np.random.default_rng(12).permutation(len(a))
+        return SymMatrix.wrap(a[np.ix_(order, order)])
+
+    SIZES = (6, 1, 5, 6, 1, 4, 5, 1)
+
+    @pytest.mark.parametrize("family, diag", [
+        (Family.GLASSO, False), (Family.GLASSO, True),
+        (Family.POSITIVE_INVCOV, False), (Family.ISING_PMLE, False),
+    ])
+    def test_theta_and_support_match_the_dense_route(self, family, diag):
+        if family is Family.ISING_PMLE:
+            x = self._planted(sign_instance, self.SIZES)
+            spec = EstimatorSpec(family, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                                 opts=SolverOptions(tol=1e-10))
+        else:
+            x = self._planted(lambda rng, n: random_instance(rng, n, n_blocks=1), self.SIZES)
+            penalty = (PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3) if family is Family.GLASSO
+                       else PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY))
+            spec = EstimatorSpec(family, penalty, penalize_diagonal=diag, opts=OPTS)
+        rep = solve_decomposed(spec, x)
+        sizes = [len(b.indices) for b in rep.blocks]
+        assert rep.converged and 1 in sizes and len(set(sizes)) >= 3
+        assert any(sizes.count(n) > 1 for n in set(sizes) - {1})
+        theta = rep.theta.values
+        assert theta.tobytes() == theta.T.tobytes()
+        assert theta.tobytes() == SymMatrix.wrap(rep.theta).values.tobytes()
+        assert np.array_equal(rep.support, _support(np.asarray(rep.theta)))
+        assert rep.support.any() and not rep.support.all()
+
+    def test_stack_output_is_symmetrized_and_classified_as_a_whole(self, monkeypatch):
+        """A stack solver whose members are not exactly symmetric, and whose
+        4x4 member is 1e-9 times the others: theta is wrap() of the raw
+        scatter, and that member falls below the whole-matrix cutoff though
+        it clears its own."""
+        def fake(spec, xs):
+            n = xs.shape[-1]
+            t = xs * (1.0 + 1e-3 * np.triu(np.ones((n, n)), 1)) * (1e-9 if n == 4 else 1.0)
+            return [(t_b, 0, 0) for t_b in t]
+
+        monkeypatch.setitem(_FAMILIES, Family.GLASSO,
+                            dataclasses.replace(_FAMILIES[Family.GLASSO], stack=fake))
+        x = self._planted(lambda rng, n: random_instance(rng, n, n_blocks=1), self.SIZES)
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3), opts=OPTS)
+        rep = solve_decomposed(spec, x)
+        raw = np.zeros((x.p, x.p))
+        for stat in rep.blocks:
+            ix = np.ix_(stat.indices, stat.indices)
+            [(raw[ix], _, _)] = fake(spec, x.dense()[ix][None])
+        assert not np.array_equal(raw, raw.T)
+        want = SymMatrix.wrap(raw).values
+        assert rep.theta.values.tobytes() == want.tobytes()
+        assert np.array_equal(rep.support, _support(want))
+        [small] = [np.ix_(b.indices, b.indices) for b in rep.blocks if len(b.indices) == 4]
+        assert _support(want[small]).any() and not rep.support[small].any()
 
 
 class TestSizeGroups:

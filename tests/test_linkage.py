@@ -154,6 +154,15 @@ class TestThresholdComponents:
         x = sym([[1.0, -0.8], [-0.8, 1.0]])
         assert threshold_components(x, 0.5).blocks == ((0, 1),)
 
+    def test_input_untouched(self, rng):
+        x = random_instance(rng, 30)
+        before = x.dense()
+        writable = x.dense()
+        assert threshold_components(x, 0.3) == threshold_components(writable, 0.3)
+        assert np.asarray(x).tobytes() == before.tobytes()
+        assert not np.asarray(x).flags.writeable
+        assert writable.tobytes() == before.tobytes() and writable.flags.writeable
+
 
 class TestComponents:
     def test_non_transitive_mask_is_one_block(self):
@@ -165,6 +174,15 @@ class TestComponents:
     def test_diagonal_ignored(self):
         assert components(np.eye(3)).blocks == ((0,), (1,), (2,))
         assert components(np.zeros((2, 2))).blocks == ((0,), (1,))
+
+    def test_only_upper_triangle_read(self, rng):
+        # edges below the diagonal alone make no block
+        assert len(components(np.tril(np.ones((6, 6)), k=-1))) == 6
+        for _ in range(20):
+            p = int(rng.integers(2, 15))
+            adj = rng.random((p, p)) < 0.2  # asymmetric
+            upper = np.triu(adj, k=1)
+            assert components(adj) == components_by_closure(upper | upper.T)
 
     def test_permuted_path_matches_closure(self, rng):
         # a long path in random item order takes label propagation the
