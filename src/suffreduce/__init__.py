@@ -45,11 +45,9 @@ from .orbit import (
     check_projection_conditions,
     conj_majorizes,
     cut_membership,
-    cut_vertices,
 )
 from .penalty import GroupId, PenaltyKind, PenaltySpec
 from .reductions import (
-    ReducedProblem,
     group_hard_threshold,
     hard_threshold,
     positive_part,
@@ -83,7 +81,6 @@ __all__ = [
     "Partition",
     "PenaltyKind",
     "PenaltySpec",
-    "ReducedProblem",
     "SolveReport",
     "SolverOptions",
     "SufficiencyReport",
@@ -99,7 +96,6 @@ __all__ = [
     "conj_majorizes",
     "cut_dendrogram",
     "cut_membership",
-    "cut_vertices",
     "enumerate_feasible_ultrametrics",
     "glasso",
     "group_hard_threshold",

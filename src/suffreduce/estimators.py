@@ -2,7 +2,8 @@
 
 glasso, sparse_cov and positive_invcov run on one ADMM driver, :func:`_admm`
 (one smooth/constrained proximal step, one soft-threshold or projection step,
-scaled dual update, over-relaxation and residual-balanced rho); each solver
+scaled dual update, over-relaxation and residual-balanced rho, from the fixed
+settings ``_RHO``, ``_OVER_RELAX`` and ``_CHECK_EVERY``); each solver
 supplies only its two proximal maps, its start (primal, and dual if not
 zero) and its certificate.
 The driver runs a stack of same-size problems in lockstep on (B, n, n)
@@ -26,8 +27,8 @@ Convergence is declared only when an independently recomputed KKT residual
 at the reported point falls below ``opts.tol * (1 + max|input|)``; the same
 residual functions are exposed for verification, so the certificate never
 reuses solver state, and a point with a non-finite entry never certifies.
-The certificate runs every ``opts.check_every`` iterations, at the last
-iteration, and at most once per window of ``check_every`` iterations when
+The certificate runs every ``_CHECK_EVERY`` iterations, at the last
+iteration, and at most once per window of ``_CHECK_EVERY`` iterations when
 both ADMM residual norms (primal |theta - z|_F, dual rho |z - z_old|_F) are
 at most that tolerance.  Frobenius norms are at least the max-abs scale the
 tolerance is stated in, so this trigger is conservative; it only decides
@@ -96,6 +97,12 @@ _AA_MEMORY = 5  # secant pairs an Anderson-accelerated ADMM problem keeps
 # keeps them nonsingular when a problem holds no pair
 _AA_DIAG = 1.0 + 1e-10 * np.eye(_AA_MEMORY)
 _AA_FLOOR = 1e-300 * np.eye(_AA_MEMORY)
+# the ADMM settings of every solve (Boyd et al. 2011, sec. 3.4.1): the start
+# rho, which residual balancing then moves, the over-relaxation, and the
+# cadence of the certificate and of fantope_spca's rho update
+_RHO = 1.0
+_OVER_RELAX = 1.6
+_CHECK_EVERY = 25
 
 
 class ConvergenceError(RuntimeError):
@@ -120,19 +127,9 @@ class Family(Enum):
 class SolverOptions:
     tol: float = 1e-9
     max_iter: int = 10000
-    rho: float = 1.0
-    over_relax: float = 1.6
-    adapt_rho: bool = True
-    check_every: int = 25
 
     def __post_init__(self):
-        needs = {
-            "tol > 0": self.tol > 0,
-            "max_iter >= 1": self.max_iter >= 1,
-            "check_every >= 1": self.check_every >= 1,
-            "rho > 0": self.rho > 0,
-            "0 < over_relax < 2": 0 < self.over_relax < 2,
-        }
+        needs = {"tol > 0": self.tol > 0, "max_iter >= 1": self.max_iter >= 1}
         bad = [need for need, ok in needs.items() if not ok]
         if bad:
             raise ValueError(f"invalid solver options {self}: need {', '.join(bad)}")
@@ -174,10 +171,6 @@ class SolveReport:
 
 def _soft(a, t):
     return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
-
-
-def _scale(a) -> float:
-    return 1.0 + float(np.max(np.abs(a))) if np.size(a) else 1.0
 
 
 def _absmax(a) -> float:
@@ -226,7 +219,7 @@ def _certificate(residual):
 
 
 def _scales(s) -> np.ndarray:
-    """_scale of each member of a stack (B, n, n)."""
+    """1 + max|s| of each member of a stack (B, n, n)."""
     return 1.0 + np.max(np.abs(s), axis=(-2, -1))
 
 
@@ -245,10 +238,13 @@ def _diag(d) -> np.ndarray:
     return out
 
 
-def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=None):
+def _admm(name, x, z0, prox_f, prox_g, certify, max_iter: int, tol, u0=None):
     """Over-relaxed scaled ADMM with residual-balanced rho for B independent
     problems min f_b(theta) + g(z) s.t. theta = z (Boyd et al. 2011, sec.
     3.4.1), run in lockstep on stacked arrays and Anderson-accelerated.
+    The over-relaxation is ``_OVER_RELAX``; each problem's rho starts at
+    ``_RHO`` and is doubled or halved when one residual norm is ten times
+    the other.
 
     ``x`` (B, n, n) holds the problems' inputs, ``z0`` their start points,
     ``u0`` their scaled dual start points (None: zero) and ``tol`` their
@@ -277,21 +273,20 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=Non
     points (D, n, n), computed at a map output, never at an Anderson point,
     so a reported point keeps the exact zeros and sign constraints of
     prox_g.  It is called at most once per iteration, on every problem
-    that is due.  A problem is due every ``opts.check_every`` iterations, at
-    the last iteration, and, at most once in each window of ``check_every``
+    that is due.  A problem is due every ``_CHECK_EVERY`` iterations, at
+    the last iteration, and, at most once in each window of ``_CHECK_EVERY``
     iterations, at the first iteration whose primal and dual residual norms
     |theta - z'|_F and rho |z' - z|_F are both <= tol (sec. 3.3.1).  A
     Frobenius norm is at least the largest entry, the scale ``tol`` is
     stated in, so that trigger is conservative; the window bound keeps a
-    stalled solve from certifying on every iteration.  The certificate is the only stopping rule and
-    leaves the iterates and rho untouched: a problem leaves the stack at the
-    first point whose residual is <= its tol and is not certified again.
+    stalled solve from certifying on every iteration.  The certificate is
+    the only stopping rule and leaves the iterates and rho untouched: a
+    problem leaves the stack at the first point whose residual is <= its
+    tol and is not certified again.
     Returns [(point, residual, iterations)] in stack order.  Raises
-    ConvergenceError if a problem is still running after ``opts.max_iter``
+    ConvergenceError if a problem is still running after ``max_iter``
     iterations.
     """
-    alpha = opts.over_relax
-    adapt = opts.adapt_rho
     count, n = z0.shape[:2]
     w = np.zeros((count, 2, n, n))  # the point (z, u) of each problem
     w[:, 0] = z0
@@ -308,14 +303,14 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=Non
     # its last early check
     live = list(range(count))
     tol = list(tol)
-    rho = [float(opts.rho)] * count
+    rho = [_RHO] * count
     early = [-1] * count
     rho_arg = rho[0]
     out = [None] * count
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, max_iter + 1):
         z, u = w[:, 0], w[:, 1]
         theta = prox_f(z - u, rho_arg, x)
-        th_hat = alpha * theta + (1.0 - alpha) * z
+        th_hat = _OVER_RELAX * theta + (1.0 - _OVER_RELAX) * z
         # the map output F(w) = (z', u') and the fixed-point residual F(w) - w
         fg = np.empty((len(w), 2, 2, n, n))
         f, g = fg[:, 0], fg[:, 1]
@@ -327,8 +322,8 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=Non
         r_norms = _norms(theta - f[:, 0]).tolist()
         steps = np.sqrt(sq[:, 0]).tolist()  # |z' - z|
         s_norms = [rho_k * step for rho_k, step in zip(rho, steps)]
-        window = (it - 1) // opts.check_every
-        cadence = it % opts.check_every == 0 or it == opts.max_iter
+        window = (it - 1) // _CHECK_EVERY
+        cadence = it % _CHECK_EVERY == 0 or it == max_iter
         due = []
         for k, (r_norm, s_norm, tol_k) in enumerate(zip(r_norms, s_norms, tol)):
             if max(r_norm, s_norm) <= tol_k and window != early[k]:
@@ -349,16 +344,15 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=Non
             if len(gone) == len(live):
                 return out
         moved = []  # (problem, factor its u is scaled by)
-        if adapt:
-            for k, (r_norm, s_norm, rho_k) in enumerate(zip(r_norms, s_norms, rho)):
-                if k in gone:
-                    continue
-                if r_norm > 10.0 * s_norm and rho_k < 1e5:
-                    rho[k] = rho_k * 2.0
-                    moved.append((k, 0.5))
-                elif s_norm > 10.0 * r_norm and rho_k > 1e-3:
-                    rho[k] = rho_k / 2.0
-                    moved.append((k, 2.0))
+        for k, (r_norm, s_norm, rho_k) in enumerate(zip(r_norms, s_norms, rho)):
+            if k in gone:
+                continue
+            if r_norm > 10.0 * s_norm and rho_k < 1e5:
+                rho[k] = rho_k * 2.0
+                moved.append((k, 0.5))
+            elif s_norm > 10.0 * r_norm and rho_k > 1e-3:
+                rho[k] = rho_k / 2.0
+                moved.append((k, 2.0))
 
         # Anderson step: the new secant pair joins the memory of each problem
         # whose residual did not grow and whose map stays; the others forget
@@ -398,7 +392,7 @@ def _admm(name, x, z0, prox_f, prox_g, certify, opts: SolverOptions, tol, u0=Non
             # pay on every iteration
             rho_arg = rho[0] if rho.count(rho[0]) == len(rho) else np.array(rho)[:, None, None]
     raise ConvergenceError(
-        f"{name} did not reach tol {tol[0]:.3e} in {opts.max_iter} iterations"
+        f"{name} did not reach tol {tol[0]:.3e} in {max_iter} iterations"
     )
 
 
@@ -610,9 +604,9 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
             _logdet_prox,
             lambda a, rho: _soft(a, lam_3d / rho),
             lambda xs, theta, z: (_glasso_kkt(xs, lam_mat, z), z),
-            opts,
+            opts.max_iter,
             tol,
-            u0=(w0 - s) / opts.rho,
+            u0=(w0 - s) / _RHO,
         )
     wv, q = np.linalg.eigh(s)
     low = np.flatnonzero(wv[:, 0] <= 1e-12)
@@ -711,16 +705,14 @@ def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = 
         raise NoSolutionError("an infinite weight makes every objective value infinite")
     s = x.dense()
     p = x.p
-    scale = _scale(s)
-    tol = opts.tol * scale
-    rho = opts.rho
-    alpha = opts.over_relax
+    tol = opts.tol * (1.0 + _absmax(s))
+    rho = _RHO
     z = np.zeros((p, p))
     u = np.zeros((p, p))
     for it in range(1, opts.max_iter + 1):
         theta = _fantope_project_dense(z - u + s / rho, k)
         z_old = z
-        th_hat = alpha * theta + (1.0 - alpha) * z_old
+        th_hat = _OVER_RELAX * theta + (1.0 - _OVER_RELAX) * z_old
         z = _soft(th_hat + u, lam / rho)
         u = u + th_hat - z
         # objective is linear, so the gate is the pair of ADMM residuals
@@ -729,7 +721,7 @@ def fantope_spca(x: SymMatrix, lam: float, k: int, opts: SolverOptions | None = 
         s_norm = rho * float(np.max(np.abs(z - z_old)))
         if max(r_norm, s_norm) <= tol:
             return _report_matrix(z, _fantope_objective(s, lam, z), max(r_norm, s_norm), it, True)
-        if opts.adapt_rho and it % opts.check_every == 0:
+        if it % _CHECK_EVERY == 0:
             if r_norm > 10.0 * s_norm and rho < 1e5:
                 rho *= 2.0
                 u /= 2.0
@@ -751,8 +743,11 @@ def _spectral_floor(a: np.ndarray, eps: float) -> np.ndarray:
     return _spectral(q, np.maximum(w, eps)[..., None, :])
 
 
+_SPARSE_COV_ROUNDS = 12  # alternations the sparse_cov certificate runs
+
+
 @_certificate
-def _sparse_cov_kkt(s, lam, eps, theta, rounds: int = 12, top=None) -> float:
+def _sparse_cov_kkt(s, lam, eps, theta, top=None) -> float:
     """Best certificate found by alternating the subgradient choice with the
     projection of the multiplier onto the active-eigenspace PSD cone."""
     w, q = np.linalg.eigh(theta)
@@ -762,7 +757,7 @@ def _sparse_cov_kkt(s, lam, eps, theta, rounds: int = 12, top=None) -> float:
     sign_on = np.sign(theta)
     m = np.zeros_like(theta)
     resid = np.inf
-    for _ in range(max(rounds, 1)):
+    for _ in range(_SPARSE_COV_ROUNDS):
         if lam > 0:
             gamma = np.where(on, sign_on, np.clip((s - theta + m) / lam, -1.0, 1.0))
         else:
@@ -826,7 +821,7 @@ def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
             lambda a, rho: _soft(a, lam / rho),
             lambda xs, theta, z: (np.array([_sparse_cov_kkt(x_b, lam, eps, t_b)
                                             for x_b, t_b in zip(xs, theta)]), theta),
-            opts,
+            opts.max_iter,
             tol[rest],
         )
         for b, result in zip(rest, solved):
@@ -885,10 +880,10 @@ def _positive_invcov_stack(s, opts: SolverOptions) -> list:
         _logdet_prox,
         lambda a, rho: np.where(off_mask, np.minimum(a, 0.0), a),
         lambda xs, theta, z: (_positive_invcov_kkt(xs, z), z),
-        opts,
+        opts.max_iter,
         opts.tol * _scales(s),
         # the dual of the dual feasible point s + max(-s, 0) off the diagonal
-        u0=np.where(off_mask, np.maximum(-s, 0.0), 0.0) / opts.rho,
+        u0=np.where(off_mask, np.maximum(-s, 0.0), 0.0) / _RHO,
     )
 
 
@@ -973,8 +968,7 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
         raise ValueError("lam must be nonnegative")
     p = x.p
     s = x.dense()
-    scale = _scale(s)
-    tol = opts.tol * scale
+    tol = opts.tol * (1.0 + _absmax(s))
     theta = np.zeros((p, p))
     logz, moment = _ising_enumerate(theta)
     step = 1.0
@@ -1042,9 +1036,9 @@ class _Record:
     ``residual(spec, xs, thetas, top, shared)`` each block's KKT residual,
     and ``objective(spec, x, theta, pieces)`` assembles the objective from
     the pieces of all blocks in partition order.
-    ``couples``: the blocks share a constraint.  ``stack(spec, xs)``: the
-    solver on a stack xs of same-size blocks, [(theta, kkt, iterations)] in
-    stack order; every family whose blocks do not couple has one.
+    ``stack(spec, xs)``: the solver on a stack xs of same-size blocks,
+    [(theta, kkt, iterations)] in stack order; every matrix family has one
+    except fantope_spca, whose blocks share the trace budget.
     """
 
     kind: PenaltyKind
@@ -1056,7 +1050,6 @@ class _Record:
     piece: Callable = lambda spec, xs, thetas, shared: [None] * len(thetas)
     needs: tuple[str, ...] = ()
     matrix: bool = True
-    couples: bool = False
     stack: Callable | None = None
 
 
@@ -1136,7 +1129,7 @@ _FAMILIES = {
         residual=lambda spec, s, t, top, _: [
             _fantope_kkt(s_b, _lam(spec), spec.k, t_b) for s_b, t_b in zip(s, t)],
         objective=lambda spec, s, t, _: _fantope_objective(s, _lam(spec), t),
-        needs=("k",), couples=True,
+        needs=("k",),
     ),
     Family.SPARSE_COV: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
@@ -1201,7 +1194,7 @@ def _check(spec: EstimatorSpec, x, theta, residual: bool) -> float:
     rec = _family(spec)
     if rec.matrix:
         xm = as_symmetric(x)
-        one = Partition.from_blocks([range(xm.p)], xm.p)
+        one = _size_groups(Partition.from_blocks([range(xm.p)], xm.p))
         return _separable_check(spec, xm, theta, one, residual, not residual)[not residual]
     xv, td = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
     return (rec.residual if residual else rec.objective)(spec, xv, td)
@@ -1242,10 +1235,11 @@ def _size_groups(partition: Partition) -> list:
     return groups
 
 
-def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = True,
+def _separable_check(spec: EstimatorSpec, x, theta, groups, residual: bool = True,
                      objective: bool = True) -> tuple[float | None, float | None]:
     """KKT residual and objective of a matrix family at a theta that is
-    zero off the blocks of ``partition``, computed block by block.
+    zero off the blocks of a partition, computed block by block; ``groups``
+    is :func:`_size_groups` of that partition.
 
     Off the blocks the condition is the screening inequality on x itself,
     scored as its excess: max(|x_ij| - lam, 0), or max(x_ij, 0) for
@@ -1267,13 +1261,13 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
     top = _absmax(td)  # nan or inf when an entry is
     if not np.isfinite(top):
         return np.inf, np.nan
-    groups = _size_groups(partition)
+    blocks = sum(len(members) for members, _ in groups)
     thetas = [td[ix] for _, ix in groups]
     # theta is zero off the blocks exactly when the blocks hold all its nonzeros
     if np.count_nonzero(td) != sum(np.count_nonzero(t) for t in thetas):
         return np.inf, np.nan
     resid = [0.0]
-    if residual and len(partition.blocks) > 1:
+    if residual and blocks > 1:
         signed = rec.kind is PenaltyKind.OFFDIAG_POSITIVITY
         # one p x p work array and no masked copies: temporaries whose size
         # varies from solve to solve fragment the heap and raise peak memory
@@ -1282,7 +1276,7 @@ def _separable_check(spec: EstimatorSpec, x, theta, partition, residual: bool = 
             work[ix] = 0.0
         resid.append(max(float(work.max()) - (0.0 if signed else _lam(spec)), 0.0))
         del work
-    pieces = [None] * len(partition.blocks)
+    pieces = [None] * blocks
     for (members, ix), t in zip(groups, thetas):
         sb = s[ix]
         shared = rec.share(spec, sb, t)
@@ -1325,9 +1319,9 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     certified block by block against the original input
     (:func:`_separable_check`), which gives :func:`kkt_residual` and
     :func:`objective_at` up to rounding; ``converged`` means that residual
-    is at most ``opts.tol * (1 + max|x|)``.  fantope_spca couples blocks
-    through its trace budget, so it is solved on the whole reduced matrix
-    and certified as one block.
+    is at most ``opts.tol * (1 + max|x|)``.  fantope_spca's blocks share
+    its trace budget, so it has no stack solver: it is solved on the whole
+    reduced matrix and certified as one block.
     """
     rec = _family(spec)
     if not rec.matrix:
@@ -1335,7 +1329,7 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     xm = as_symmetric(x)
     penalty, group = reduction_for(spec)
 
-    if rec.couples:
+    if rec.stack is None:
         rep = solve(spec, reduce_input(penalty, group, xm).reduced)
         kkt = kkt_residual(spec, xm, rep.theta)
         return SolveReport(rep.theta, objective_at(spec, xm, rep.theta), kkt, rep.iterations,
@@ -1347,8 +1341,9 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     theta = np.zeros((xm.p, xm.p))
     stats = [None] * len(blocks)
     stacks = []
+    groups = _size_groups(partition)
     try:
-        for members, ix in _size_groups(partition):
+        for members, ix in groups:
             start = time.perf_counter()
             solved = rec.stack(spec, s[ix])
             t = np.stack([theta_b for theta_b, _, _ in solved])
@@ -1371,7 +1366,7 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
         support[ix] = _support(t, top)
     del stacks, t  # no copy of the blocks lives through the check
     theta = SymMatrix(theta)  # exactly symmetric already
-    kkt, objective = _separable_check(spec, xm, theta, partition)
+    kkt, objective = _separable_check(spec, xm, theta, groups)
     converged = kkt <= spec.opts.tol * (1.0 + _absmax(s))
     return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),
                        converged, support, tuple(stats))

@@ -53,11 +53,15 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
+        """The partition whose blocks are the items sharing a label.  Items
+        are visited in increasing order, so each block comes out sorted and
+        the blocks ordered by smallest member: already canonical."""
         labels = list(labels)
         groups: dict[int, list[int]] = {}
         for i, lab in enumerate(labels):
             groups.setdefault(lab, []).append(i)
-        return cls.from_blocks(list(groups.values()), len(labels))
+        index = {lab: k for k, lab in enumerate(groups)}
+        return cls(tuple(map(tuple, groups.values())), tuple(index[lab] for lab in labels))
 
     @property
     def p(self) -> int:
@@ -148,13 +152,6 @@ class Dendrogram:
                 {"a": a, "b": b, "height": h} for a, b, h in self.merges
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Dendrogram":
-        merges = tuple(
-            (int(m["a"]), int(m["b"]), float(m["height"])) for m in d["merges"]
-        )
-        return cls(int(d["leaves"]), merges)
 
 
 def mst_kruskal(x: SymMatrix) -> Dendrogram:

@@ -20,12 +20,17 @@ from .symmat import SymMatrix, as_symmetric, hadamard
 __all__ = [
     "MaskProjection",
     "ConditionReport",
-    "cut_vertices",
     "cut_membership",
     "conj_majorizes",
     "arcsin_map",
     "check_projection_conditions",
 ]
+
+
+# the cut polytope is tested over all 2**(p-1) vertices, so up to this p, and
+# a moment counts as matched within this tolerance
+_CUT_P_LIMIT = 12
+_CUT_TOL = 1e-8
 
 
 def _is_binary(a: np.ndarray) -> bool:
@@ -75,7 +80,7 @@ class ConditionReport:
         return self.averaging and self.dual_feasibility and self.dual_invariance
 
 
-def cut_vertices(p: int) -> np.ndarray:
+def _cut_vertices(p: int) -> np.ndarray:
     """All sign vectors y in {-1, +1}^p with y[0] = +1, one per cut matrix
     y y^T.  Shape (2**(p-1), p)."""
     if p < 1:
@@ -87,9 +92,9 @@ def cut_vertices(p: int) -> np.ndarray:
     return y
 
 
-def _cut_moment_lp(targets: list[tuple[int, int, float]], p: int, tol: float) -> bool:
-    """Feasibility of sum_v w_v (y_v y_v^T)_ij = target within tol, over the
-    probability simplex on the 2**(p-1) cut vertices.
+def _cut_moment_lp(targets: list[tuple[int, int, float]], p: int) -> bool:
+    """Feasibility of sum_v w_v (y_v y_v^T)_ij = target within _CUT_TOL, over
+    the probability simplex on the 2**(p-1) cut vertices.
 
     Solved as an LP minimizing the largest moment deviation s.
     """
@@ -98,7 +103,7 @@ def _cut_moment_lp(targets: list[tuple[int, int, float]], p: int, tol: float) ->
     # would otherwise pay, and only this LP uses it
     from scipy.optimize import linprog
 
-    y = cut_vertices(p)
+    y = _cut_vertices(p)
     nv = y.shape[0]
     if not targets:
         return True
@@ -119,33 +124,33 @@ def _cut_moment_lp(targets: list[tuple[int, int, float]], p: int, tol: float) ->
     )
     if res.status != 0:
         raise RuntimeError(f"cut feasibility LP failed: {res.message}")
-    return float(res.x[-1]) <= tol
+    return float(res.x[-1]) <= _CUT_TOL
 
 
-def cut_membership(b: SymMatrix, p_limit: int = 12, tol: float = 1e-8) -> bool:
+def cut_membership(b: SymMatrix) -> bool:
     """Is b a convex combination of sign outer products y y^T?
 
     The moment-matching feasibility program runs over all 2**(p-1) vertices,
-    so p is capped at ``p_limit``.  Membership holds when some vertex
-    weighting reproduces every off-diagonal entry within ``tol``.
+    so p is capped at 12.  Membership holds when some vertex weighting
+    reproduces every off-diagonal entry within 1e-8.
     """
     p = b.p
-    if p > p_limit:
-        raise ValueError(f"p={p} exceeds p_limit={p_limit}")
+    if p > _CUT_P_LIMIT:
+        raise ValueError(f"p={p} exceeds the cut polytope limit {_CUT_P_LIMIT}")
     d = b.dense()
     # every element of the hull has a unit diagonal and entries in [-1, 1],
     # so anything else is outside without running the feasibility program
-    if np.max(np.abs(np.diag(d) - 1.0)) > tol:
+    if np.max(np.abs(np.diag(d) - 1.0)) > _CUT_TOL:
         return False
-    if np.max(np.abs(d)) > 1.0 + tol:
+    if np.max(np.abs(d)) > 1.0 + _CUT_TOL:
         return False
     targets = [
         (i, j, float(d[i, j])) for i in range(p - 1) for j in range(i + 1, p)
     ]
-    return _cut_moment_lp(targets, p, tol)
+    return _cut_moment_lp(targets, p)
 
 
-def conj_majorizes(u: SymMatrix, v: SymMatrix, p_limit: int = 12, tol: float = 1e-8) -> bool:
+def conj_majorizes(u: SymMatrix, v: SymMatrix) -> bool:
     """True iff v = b o u with b completable to a cut-matrix average.
 
     Entries of v over the support of u fix the required ratios; entries
@@ -154,8 +159,8 @@ def conj_majorizes(u: SymMatrix, v: SymMatrix, p_limit: int = 12, tol: float = 1
     if u.p != v.p:
         raise ValueError(f"dimension mismatch: {u.p} vs {v.p}")
     p = u.p
-    if p > p_limit:
-        raise ValueError(f"p={p} exceeds p_limit={p_limit}")
+    if p > _CUT_P_LIMIT:
+        raise ValueError(f"p={p} exceeds the cut polytope limit {_CUT_P_LIMIT}")
     ud = u.dense()
     vd = v.dense()
     free = ud == 0.0
@@ -163,7 +168,7 @@ def conj_majorizes(u: SymMatrix, v: SymMatrix, p_limit: int = 12, tol: float = 1
         return False
     # diagonal of any vertex average is exactly one
     for i in range(p):
-        if not free[i, i] and abs(vd[i, i] / ud[i, i] - 1.0) > tol:
+        if not free[i, i] and abs(vd[i, i] / ud[i, i] - 1.0) > _CUT_TOL:
             return False
     targets = []
     for i in range(p - 1):
@@ -171,10 +176,10 @@ def conj_majorizes(u: SymMatrix, v: SymMatrix, p_limit: int = 12, tol: float = 1
             if free[i, j]:
                 continue
             r = float(vd[i, j] / ud[i, j])
-            if abs(r) > 1.0 + tol:
+            if abs(r) > 1.0 + _CUT_TOL:
                 return False
             targets.append((i, j, r))
-    return _cut_moment_lp(targets, p, tol)
+    return _cut_moment_lp(targets, p)
 
 
 def arcsin_map(s: SymMatrix) -> SymMatrix:

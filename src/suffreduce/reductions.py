@@ -56,6 +56,12 @@ def hard_threshold(x, lam) -> np.ndarray:
 def group_hard_threshold(x, blocks: Partition, lam) -> np.ndarray:
     """Zero whole blocks whose Euclidean norm is <= the block threshold."""
     x = np.asarray(x, dtype=float)
+    return np.where(_group_keep(x, blocks, lam), x, 0.0)
+
+
+def _group_keep(x: np.ndarray, blocks: Partition, lam) -> np.ndarray:
+    """Per coordinate of x: does its block's Euclidean norm exceed the
+    block threshold?"""
     if blocks.p != x.shape[0]:
         raise ValueError("partition does not cover the vector")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -65,12 +71,11 @@ def group_hard_threshold(x, blocks: Partition, lam) -> np.ndarray:
         raise ValueError("need one threshold per block (or a scalar)")
     if np.any(lam < 0):
         raise ValueError("thresholds must be nonnegative")
-    out = np.zeros_like(x)
+    keep = np.zeros(x.shape, dtype=bool)
     for k, blk in enumerate(blocks.blocks):
         idx = list(blk)
-        if np.linalg.norm(x[idx]) > lam[k]:
-            out[idx] = x[idx]
-    return out
+        keep[idx] = np.linalg.norm(x[idx]) > lam[k]
+    return keep
 
 
 def positive_part(x) -> np.ndarray:
@@ -132,13 +137,9 @@ def reduce_input(penalty: PenaltySpec, group: GroupId, x) -> ReducedProblem:
             reduced = hard_threshold(x, lam)
             d = (np.abs(x) > lam).astype(float)
         elif penalty.kind is PenaltyKind.GROUP_L2:
-            reduced = group_hard_threshold(x, penalty.blocks, penalty.weights)
-            lam = np.atleast_1d(np.asarray(penalty.weights, dtype=float))
-            d = np.zeros_like(x)
-            for k, blk in enumerate(penalty.blocks.blocks):
-                idx = list(blk)
-                if np.linalg.norm(x[idx]) > lam[k]:
-                    d[idx] = 1.0
+            keep = _group_keep(x, penalty.blocks, penalty.weights)
+            reduced = np.where(keep, x, 0.0)
+            d = keep.astype(float)
         else:
             reduced = positive_part(x)
             d = (x > 0.0).astype(float)

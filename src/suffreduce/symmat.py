@@ -95,11 +95,6 @@ class SymMatrix:
     def p(self) -> int:
         return self.values.shape[0]
 
-    def allclose(self, other: "SymMatrix", tol: float = 1e-12) -> bool:
-        return self.p == other.p and bool(
-            np.max(np.abs(self.values - other.values)) <= tol
-        )
-
 
 def as_symmetric(x) -> SymMatrix:
     """x itself if it is a SymMatrix, else :meth:`SymMatrix.from_dense` of x."""

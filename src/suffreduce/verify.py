@@ -363,7 +363,7 @@ def _suite_orbitope(summary: SuiteSummary, rng, sizes):
             scale = np.sqrt(np.outer(np.diag(d), np.diag(d)))
             corr = SymMatrix.from_dense(d / scale, asym_tol=1e-6)
             mapped = arcsin_map(corr)
-            ok = cut_membership(mapped, tol=1e-8)
+            ok = cut_membership(mapped)
             summary.record("arcsin_in_cut", {"p": p}, ok, 0.0 if ok else 1.0)
             lam = float(np.quantile(np.abs(d[~np.eye(p, dtype=bool)]), 0.5))
             mask = slc(SymMatrix.wrap(np.abs(x.dense())), lam)

@@ -192,7 +192,7 @@ def test_criterion_06_rescaled_arcsine_stays_in_hull():
             corr = d / np.sqrt(np.outer(np.diag(d), np.diag(d)))
             np.fill_diagonal(corr, 1.0)
             mapped = arcsin_map(SymMatrix.from_dense(corr, asym_tol=1e-8))
-            assert cut_membership(mapped, tol=1e-8)
+            assert cut_membership(mapped)
             count += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from suffreduce.estimators import (
+    _CHECK_EVERY,
     _FAMILIES,
     ConvergenceError,
     EstimatorSpec,
@@ -18,6 +19,7 @@ from suffreduce.estimators import (
     _fantope_project_dense,
     _glasso_start,
     _separable_check,
+    _size_groups,
     _support,
     fantope_spca,
     glasso,
@@ -54,16 +56,20 @@ def certificate_ok(spec, x, report, factor=10.0):
 class TestSolverOptions:
     @pytest.mark.parametrize("field, value, need", [
         ("tol", 0.0, "tol > 0"), ("tol", -1.0, "tol > 0"), ("tol", float("nan"), "tol > 0"),
-        ("max_iter", 0, "max_iter >= 1"), ("check_every", 0, "check_every >= 1"),
-        ("rho", 0.0, "rho > 0"), ("rho", -1.0, "rho > 0"),
-        ("over_relax", 0.0, "0 < over_relax < 2"), ("over_relax", 2.0, "0 < over_relax < 2"),
+        ("max_iter", 0, "max_iter >= 1"),
     ])
     def test_invalid_field_rejected(self, field, value, need):
         with pytest.raises(ValueError, match=f"need {re.escape(need)}$"):
             SolverOptions(**{field: value})
 
     def test_boundary_values_accepted(self):
-        SolverOptions(tol=1e-300, max_iter=1, check_every=1, rho=1e-9, over_relax=1.999)
+        SolverOptions(tol=1e-300, max_iter=1)
+
+    def test_only_tol_and_max_iter(self):
+        # rho, over-relaxation and the certificate cadence are fixed
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iter"]
+        with pytest.raises(TypeError):
+            SolverOptions(rho=2.0)
 
 
 class TestNonFiniteNeverCertifies:
@@ -94,7 +100,7 @@ class TestNonFiniteNeverCertifies:
                 lambda v, rho, x: np.full_like(v, np.nan),
                 lambda a, rho: a,
                 lambda s_b, theta, z: (_glasso_kkt(s_b, lam_mat, z), z),
-                SolverOptions(max_iter=50),
+                50,
                 [1e-9],
             )
 
@@ -126,7 +132,7 @@ class TestNonFiniteNeverCertifies:
         with pytest.raises(ConvergenceError, match="in 200 iterations"), np.errstate(invalid="ignore"):
             _admm("glasso", np.stack([s, 1.5 * s]), np.stack([np.eye(2)] * 2), prox_f,
                   lambda a, rho: _soft(a, lam_mat[None] / rho), certify,
-                  SolverOptions(max_iter=200), [1e-9, 1e-9])
+                  200, [1e-9, 1e-9])
         assert min(certified) <= 1e-9  # the first member left the stack
 
 
@@ -207,11 +213,10 @@ class TestCertificateSchedule:
         def zero(v, rho, *x):  # theta = z = z_old = 0: both residual norms are 0
             return np.zeros_like(v)
 
-        opts = SolverOptions(max_iter=max_iter, check_every=10)
         with pytest.raises(ConvergenceError):
             _admm("stalled", np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), zero, zero, certify,
-                  opts, [1e-9])
-        assert len(calls) <= 2 * math.ceil(max_iter / opts.check_every)
+                  max_iter, [1e-9])
+        assert len(calls) <= 2 * math.ceil(max_iter / _CHECK_EVERY)
 
     @staticmethod
     def _one_block():
@@ -225,7 +230,7 @@ class TestCertificateSchedule:
         spec, x = self._one_block()
         rep = solve(spec, x)
         assert rep.converged
-        assert rep.iterations < spec.opts.check_every
+        assert rep.iterations < _CHECK_EVERY
         scale = 1.0 + float(np.max(np.abs(x.dense())))
         assert kkt_residual(spec, x, rep.theta) <= spec.opts.tol * scale
 
@@ -296,14 +301,14 @@ class TestStackedDriver:
             return np.zeros_like(v)
 
         x = np.arange(3.0)[:, None, None] * np.ones((3, 3, 3))
-        opts = SolverOptions(max_iter=100, check_every=10)
+        max_iter = 100
         with pytest.raises(ConvergenceError, match="tol 2.000e-09 in 100 iterations"):
-            _admm("stack", x, np.zeros((3, 3, 3)), zero, zero, certify, opts,
+            _admm("stack", x, np.zeros((3, 3, 3)), zero, zero, certify, max_iter,
                   [1e-9, 2e-9, 3e-9])
         assert calls[0] == 3 and calls[2] == 1
-        assert calls[1] <= 2 * math.ceil(opts.max_iter / opts.check_every)
+        assert calls[1] <= 2 * math.ceil(max_iter / _CHECK_EVERY)
         # one call per iteration on every due member: all three at iteration
-        # 1 (early), 0 and 1 at 10 (cadence) and 11 (early), then 1 alone
+        # 1 (early), 0 and 1 at 25 (cadence) and 26 (early), then 1 alone
         assert stacks[:3] == [[0, 1, 2], [0, 1], [0, 1]]
         assert all(members == [1] for members in stacks[3:])
 
@@ -1061,7 +1066,7 @@ class TestSolveDecomposed:
         penalty = (PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY) if family is Family.POSITIVE_INVCOV
                    else PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3))
         spec = EstimatorSpec(family, penalty, opts=OPTS)
-        kkt, objective = _separable_check(spec, x, theta, partition)
+        kkt, objective = _separable_check(spec, x, theta, _size_groups(partition))
         scale = 1.0 + float(np.max(np.abs(x.dense())))
         assert abs(kkt - kkt_residual(spec, x, theta)) <= 1e-12 * scale
         assert objective == pytest.approx(objective_at(spec, x, theta), rel=1e-12)
@@ -1078,12 +1083,12 @@ class TestSolveDecomposed:
         spec, x, partition, theta = self._glasso_solution(rng)
         i, j = partition.blocks[0][0], partition.blocks[1][0]
         theta[i, j] = theta[j, i] = 1e-3
-        assert _separable_check(spec, x, SymMatrix.wrap(theta), partition)[0] == np.inf
+        assert _separable_check(spec, x, SymMatrix.wrap(theta), _size_groups(partition))[0] == np.inf
 
     def test_blockwise_certificate_rejects_nan(self, rng):
         spec, x, partition, theta = self._glasso_solution(rng)
         theta[0, 0] = np.nan
-        assert _separable_check(spec, x, theta, partition)[0] == np.inf
+        assert _separable_check(spec, x, theta, _size_groups(partition))[0] == np.inf
 
     def test_nan_penalty_never_certifies(self):
         """A NaN weight that gets past PenaltySpec (set after construction)
@@ -1096,7 +1101,7 @@ class TestSolveDecomposed:
         x = random_instance(np.random.default_rng(0), 6)
         partition = Partition.from_blocks([(i,) for i in range(6)], 6)
         theta = np.diag(1.0 / np.diag(x.dense()))
-        kkt, objective = _separable_check(spec, x, theta, partition)
+        kkt, objective = _separable_check(spec, x, theta, _size_groups(partition))
         assert kkt == np.inf and np.isnan(objective)
         with pytest.raises(ValueError, match="penalty weights must be nonnegative"):
             solve_decomposed(spec, x)
@@ -1117,7 +1122,7 @@ class TestSolveDecomposed:
         theta = np.zeros((3, 3))
         for blk in finer.blocks:
             theta[np.ix_(blk, blk)] = solve(spec, x.dense()[np.ix_(blk, blk)]).theta.dense()
-        kkt, _ = _separable_check(spec, x, theta, finer)
+        kkt, _ = _separable_check(spec, x, theta, _size_groups(finer))
         assert kkt == pytest.approx(expected, abs=1e-12)
 
     def test_ising_above_enumeration_cap(self):
@@ -1322,13 +1327,13 @@ class TestSizeGroups:
             piece, resid = self._hooks(rec, spec, x[ix][None], theta[ix][None], top)
             residuals.append(float(resid[0]))
             pieces.append(piece[0])
-        kkt, objective = _separable_check(spec, x, theta, partition)
+        kkt, objective = _separable_check(spec, x, theta, _size_groups(partition))
         assert kkt == max(residuals) > 0.0
         assert objective == rec.objective(spec, x, theta, pieces)
         # the pieces as the objective receives them
         monkeypatch.setitem(_FAMILIES, family, dataclasses.replace(
             rec, objective=lambda spec, s, t, got: got))
-        got = _separable_check(spec, x, theta, partition, residual=False)[1]
+        got = _separable_check(spec, x, theta, _size_groups(partition), residual=False)[1]
         assert len(got) == len(pieces)
         for g, want in zip(got, pieces):
             assert np.array_equal(g, want) if isinstance(want, np.ndarray) else g == want
@@ -1346,7 +1351,7 @@ class TestSizeGroups:
         theta = rep.theta.dense()
         theta[3, 3] *= 1.01
         partition = reduce_input(*reduction_for(spec), x).partition
-        kkt, _ = _separable_check(spec, x, theta, partition)
+        kkt, _ = _separable_check(spec, x, theta, _size_groups(partition))
         scale = 1.0 + float(np.max(np.abs(x.dense())))
         assert kkt > spec.opts.tol * scale
         assert abs(kkt - kkt_residual(spec, x, theta)) <= 1e-12 * scale

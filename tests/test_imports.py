@@ -123,9 +123,10 @@ def test_cut_membership_loads_the_lp_solver_when_called():
     got = _fresh(f"""
 import json, sys
 import numpy as np
-from suffreduce import SymMatrix, cut_membership, cut_vertices
+from suffreduce import SymMatrix, cut_membership
+from suffreduce.orbit import _cut_vertices
 before = {_SCIPY_LOADED}
-y = cut_vertices(3)
+y = _cut_vertices(3)
 inside = SymMatrix.wrap(0.5 * np.outer(y[1], y[1]) + 0.5 * np.outer(y[2], y[2]))
 # unit diagonal and entries in [-1, 1], so only the LP can reject it:
 # b01 + b02 + b12 = -2.7 breaks the cut inequality >= -1

@@ -6,11 +6,11 @@ from suffreduce.instances import random_instance
 from suffreduce.linkage import slc
 from suffreduce.orbit import (
     MaskProjection,
+    _cut_vertices,
     arcsin_map,
     check_projection_conditions,
     conj_majorizes,
     cut_membership,
-    cut_vertices,
 )
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
 from suffreduce.symmat import SymMatrix, hadamard
@@ -26,7 +26,7 @@ def in_cut_by_hull(b: SymMatrix, tol=1e-9) -> bool:
     scipy can afford the hull (p <= 4 here)."""
     p = b.p
     iu = np.triu_indices(p, 1)
-    pts = np.array([v[:, None] @ v[None, :] for v in cut_vertices(p)])[:, iu[0], iu[1]]
+    pts = np.array([v[:, None] @ v[None, :] for v in _cut_vertices(p)])[:, iu[0], iu[1]]
     hull = ConvexHull(pts, qhull_options="QJ Pp")
     target = b.dense()[iu]
     return bool(np.all(hull.equations[:, :-1] @ target + hull.equations[:, -1] <= tol))
@@ -34,14 +34,14 @@ def in_cut_by_hull(b: SymMatrix, tol=1e-9) -> bool:
 
 class TestCutVertices:
     def test_p3(self):
-        v = cut_vertices(3)
+        v = _cut_vertices(3)
         assert v.shape == (4, 3)
         assert np.all(v[:, 0] == 1.0)
         assert np.all(np.abs(v) == 1.0)
         assert len({tuple(r) for r in v}) == 4
 
     def test_outer_products_cover_sign_patterns(self):
-        v = cut_vertices(4)
+        v = _cut_vertices(4)
         outers = {tuple((w[:, None] @ w[None, :]).ravel()) for w in v}
         assert len(outers) == 8
 

@@ -218,7 +218,7 @@ class TestReduceInput:
         pen = PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.4)
         once = reduce_input(pen, GroupId.DIAGONAL_CONJUGATION, x)
         twice = reduce_input(pen, GroupId.DIAGONAL_CONJUGATION, once.reduced)
-        assert once.reduced.allclose(twice.reduced, tol=0.0)
+        assert once.reduced == twice.reduced
 
 
 class TestPenaltySpec:
