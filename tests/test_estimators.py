@@ -11,6 +11,8 @@ from scipy.optimize import brentq
 from suffreduce.estimators import (
     _CHECK_EVERY,
     _FAMILIES,
+    _OVER_RELAX,
+    _RHO,
     ConvergenceError,
     EstimatorSpec,
     Family,
@@ -68,8 +70,16 @@ class TestSolverOptions:
     def test_only_tol_and_max_iter(self):
         # rho, over-relaxation and the certificate cadence are fixed
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol", "max_iter"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", 2.0), ("over_relax", 1.5), ("adapt_rho", False), ("check_every", 10),
+    ])
+    def test_removed_field_rejected(self, field, value):
         with pytest.raises(TypeError):
-            SolverOptions(rho=2.0)
+            SolverOptions(**{field: value})
+
+    def test_fixed_settings_are_the_old_defaults(self):
+        assert (_RHO, _OVER_RELAX, _CHECK_EVERY) == (1.0, 1.6, 25)
 
 
 class TestNonFiniteNeverCertifies:

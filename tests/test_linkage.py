@@ -111,6 +111,13 @@ class TestPartition:
         assert part.blocks == ((0, 1), (2, 3), (4,))
         assert Partition.from_blocks(part.blocks, 5) == part
 
+    def test_from_labels_is_canonical(self, rng):
+        for _ in range(50):
+            labels = rng.integers(0, 6, size=int(rng.integers(1, 12))).tolist()
+            part = Partition.from_labels(labels)
+            assert Partition.from_blocks(part.blocks, len(labels)) == part
+            assert [labels[blk[0]] for blk in part.blocks] == list(dict.fromkeys(labels))
+
     def test_cover_violations_rejected(self):
         with pytest.raises(ValueError):
             Partition.from_blocks([(0, 1)], 3)

@@ -97,6 +97,16 @@ class TestReduceInput:
         assert np.array_equal(rp.reduced, [3.0, 4.0, 0.0, 0.0])
         assert np.array_equal(rp.mask.vector, [1.0, 1.0, 0.0, 0.0])
 
+    def test_group_l2_matches_group_hard_threshold(self, rng):
+        x = rng.standard_normal(9)
+        blocks = Partition.from_blocks([(0, 4), (1, 2, 3), (5,), (6, 7, 8)], 9)
+        lam = (0.5, 1.5, 0.1, 10.0)
+        rp = reduce_input(PenaltySpec(PenaltyKind.GROUP_L2, lam, blocks=blocks),
+                          GroupId.SIGN_FLIP_VECTOR, x)
+        want = group_hard_threshold(x, blocks, lam)
+        assert rp.reduced.tobytes() == want.tobytes()  # killed entries are +0.0
+        assert np.array_equal(rp.mask.vector, (want != 0.0).astype(float))
+
     def test_positive_cone(self):
         x = np.array([1.0, -2.0])
         rp = reduce_input(
