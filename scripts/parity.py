@@ -9,8 +9,8 @@ importing the library from the exported ``src/`` and once from this tree's
 
 - the acceptance battery at seeds 20240817 and 7 (50 instances each):
   glasso and sparse_cov at the 0.4 and 0.7 off-diagonal quantiles, glasso
-  with a penalized diagonal at the 0.7 quantile (its 1x1 blocks run
-  ADMM), positive_invcov, and fantope_spca
+  with a penalized diagonal at the 0.7 quantile (its 1x1 blocks certify
+  at their start 1 / (x_ii + lam_ii)), positive_invcov, and fantope_spca
   (k = 2), each through ``solve`` and ``solve_decomposed``, with
   ``kkt_residual`` and ``objective_at`` at the solution and at a perturbed,
   non-optimal point;

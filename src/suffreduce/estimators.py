@@ -14,7 +14,10 @@ glasso starts each problem at the KKT pair read off its soft-thresholded
 input: the dual feasible point w0 = x - clip(x, -lam, lam) (x_ii + lam_ii on
 the diagonal) gives the dual start (w0 - x) / rho and, where w0 is positive
 definite and w0^-1 has the lower objective, the primal start w0^-1, else
-diag(1/x_ii); positive_invcov takes the matching dual start alone.
+diag(1/x_ii); positive_invcov takes the matching dual start alone.  A glasso
+problem whose w0^-1 has the sign pattern the KKT conditions ask of it (an
+entrywise test) is certified at w0^-1 before _admm runs, and leaves at 0
+iterations with that point when it passes; only the rest iterate.
 Each problem's ADMM map on (z, u) is Anderson-accelerated (type II, memory
 ``_AA_MEMORY``): the next point mixes the last map outputs so as to shrink
 the fixed-point residual, which about halves the iterations.  The memory is
@@ -282,7 +285,9 @@ def _admm(name, x, z0, prox_f, prox_g, certify, max_iter: int, tol, u0=None):
     stalled solve from certifying on every iteration.  The certificate is
     the only stopping rule and leaves the iterates and rho untouched: a
     problem leaves the stack at the first point whose residual is <= its
-    tol and is not certified again.
+    tol and is not certified again.  The start z0 itself is never
+    certified here: a caller whose start may already be optimal certifies
+    it before the call and passes in only the problems that fail.
     Returns [(point, residual, iterations)] in stack order.  Raises
     ConvergenceError if a problem is still running after ``max_iter``
     iterations.
@@ -545,7 +550,8 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
     _glasso_start): the dual at (w0 - x) / rho, and the primal at w0^-1
     unless w0 is not positive definite or diag(1/x_ii) has the lower
     objective.  On a block whose w0^-1 meets the KKT conditions, as on an
-    equicorrelated one, the first iteration certifies.
+    equicorrelated one, w0^-1 is certified and reported before any ADMM
+    iteration, and the report reads 0 iterations.
     """
     opts = opts or SolverOptions()
     s = x.dense()
@@ -557,16 +563,16 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
 
 def _glasso_start(s, lam_mat, d):
     """The ADMM start of each member of a stack s (B, n, n) with diagonals d:
-    (z0, w0).  w0 = s - clip(s, -lam, lam) off the diagonal and s_ii +
+    (z0, w0, pos).  w0 = s - clip(s, -lam, lam) off the diagonal and s_ii +
     lam_ii on it is dual feasible (Fattahi & Sojoudi, JMLR 2019): on a
     block whose |s_ij| all exceed lam_ij and whose inverse w0^-1 has the
     opposite signs, w0^-1 is the solution.  z0 is w0^-1 where w0 is
     positive definite and that point has a lower objective than diag(1/d),
-    and diag(1/d) elsewhere: against the dual bound log det w0 + n, the
-    start with the smaller duality gap.  The guard keeps a nearly singular
-    w0, whose inverse can start far off, from costing iterations.  One
-    Cholesky factor of w0 gives w0^-1 and scores it, as log det w0^-1 =
-    -log det w0; diag(1/d) is scored in closed form."""
+    the members pos marks, and diag(1/d) elsewhere: against the dual bound
+    log det w0 + n, the start with the smaller duality gap.  The guard keeps
+    a nearly singular w0, whose inverse can start far off, from costing
+    iterations.  One Cholesky factor of w0 gives w0^-1 and scores it, as
+    log det w0^-1 = -log det w0; diag(1/d) is scored in closed form."""
     lam_3d = lam_mat[None]
     w0 = s - np.clip(s, -lam_3d, lam_3d)
     i = np.arange(s.shape[-1])
@@ -578,14 +584,20 @@ def _glasso_start(s, lam_mat, d):
     # the objective of diag(1/dc): sum_i (d_i + lam_ii) / dc_i + log dc_i
     cold = np.sum((d + lam_d) / dc + np.log(dc), axis=-1)
     pos &= _glasso_linear(s, lam_mat, warm) + _logdets(factor[1]) < cold
-    return np.where(pos[:, None, None], warm, _diag(1.0 / dc)), w0
+    return np.where(pos[:, None, None], warm, _diag(1.0 / dc)), w0, pos
 
 
 def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
     """glasso on a stack of inputs s (B, p, p) that share the weight matrix
     lam_mat: [(theta, kkt, iterations)] in stack order.  With no penalty at
     all, theta is the inverse of each input, which must certify; so a 1x1
-    input with an unpenalized diagonal gets theta = 1/x_ii at 0 iterations."""
+    input with an unpenalized diagonal gets theta = 1/x_ii at 0 iterations.
+    Otherwise the members whose start w0^-1 passes an entrywise gate are
+    certified there by _glasso_kkt, which factors w0^-1 itself; a member
+    that passes leaves at 0 iterations with theta = w0^-1 bit for bit (a
+    1x1 input with a penalized diagonal at 1 / (x_ii + lam_ii)).  The others
+    run the ADMM from the same start pair, with the iterates they have
+    there alone."""
     d = np.diagonal(s, axis1=-2, axis2=-1)
     if np.isinf(np.diag(lam_mat)).any():
         raise NoSolutionError("an infinite diagonal weight makes every objective value infinite")
@@ -596,18 +608,38 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
     tol = opts.tol * _scales(s)
     if lam_mat.any():
         lam_3d = lam_mat[None]  # a (p, p) operand broadcast against a stack is slower
-        z0, w0 = _glasso_start(s, lam_mat, d)
-        return _admm(
-            "glasso",
-            s,
-            z0,
-            _logdet_prox,
-            lambda a, rho: _soft(a, lam_3d / rho),
-            lambda xs, theta, z: (_glasso_kkt(xs, lam_mat, z), z),
-            opts.max_iter,
-            tol,
-            u0=(w0 - s) / _RHO,
-        )
+        z0, w0, pos = _glasso_start(s, lam_mat, d)
+        # the gate: w0^-1 meets the KKT conditions, up to rounding, where its
+        # inverse w0 fits its sign pattern: the sign of -s on the edges
+        # |s_ij| > lam_ij (any sign where lam_ij = 0) and zero off them, so
+        # each component of the thresholded graph is a clique.  A start that
+        # fails it costs no factorization.
+        edge = np.abs(s) > lam_3d
+        gate = np.where(edge, (z0 * s < 0.0) | (lam_3d == 0.0), z0 == 0.0)
+        gate |= np.eye(s.shape[-1], dtype=bool)
+        first = np.flatnonzero(pos & gate.all(axis=(-2, -1)))
+        out = [None] * len(s)
+        if first.size:
+            for b, r in zip(first, _glasso_kkt(s[first], lam_mat, z0[first]).tolist()):
+                if r <= tol[b]:
+                    out[b] = (z0[b], r, 0)
+        rest = [b for b, o in enumerate(out) if o is None]
+        if rest:
+            pick = slice(None) if len(rest) == len(s) else rest
+            solved = _admm(
+                "glasso",
+                s[pick],
+                z0[pick],
+                _logdet_prox,
+                lambda a, rho: _soft(a, lam_3d / rho),
+                lambda xs, theta, z: (_glasso_kkt(xs, lam_mat, z), z),
+                opts.max_iter,
+                tol[pick],
+                u0=(w0[pick] - s[pick]) / _RHO,
+            )
+            for b, res in zip(rest, solved):
+                out[b] = res
+        return out
     wv, q = np.linalg.eigh(s)
     low = np.flatnonzero(wv[:, 0] <= 1e-12)
     if low.size:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linkage import is_binary_ultrametric
-from .penalty import GroupId, PenaltyKind, PenaltySpec, GROUP_INVARIANT_KINDS
+from .penalty import GroupId, PenaltyKind, PenaltySpec, GROUP_INVARIANT_KINDS, _group_keep
 from .symmat import SymMatrix, as_symmetric, hadamard
 
 __all__ = [
@@ -230,19 +230,12 @@ def _check_vector_conditions(mask, x, penalty) -> ConditionReport:
         lam = np.broadcast_to(np.asarray(penalty.weights, dtype=float), x.shape)
         dual_feasibility = not np.any(killed & (np.abs(x) > lam))
     elif penalty.kind is PenaltyKind.GROUP_L2:
-        lam = np.atleast_1d(np.asarray(penalty.weights, dtype=float))
-        dual_feasibility = True
-        for k, blk in enumerate(penalty.blocks.blocks):
-            idx = list(blk)
-            db = d[idx]
-            if np.all(db == 1.0):
-                continue
-            if np.any(db == 1.0):  # mask not constant on the block
-                dual_feasibility = False
-                break
-            if np.linalg.norm(x[idx]) > lam[k]:
-                dual_feasibility = False
-                break
+        # the mask must be constant on each block and zero no block whose
+        # norm exceeds its weight
+        blocks = penalty.blocks
+        first = np.array([blk[0] for blk in blocks.blocks])
+        constant = np.array_equal(d, d[first[np.array(blocks.labels)]])
+        dual_feasibility = constant and not np.any(killed & _group_keep(x, blocks, penalty.weights))
     elif penalty.kind is PenaltyKind.POSITIVE_CONE:
         dual_feasibility = not np.any(killed & (x > 0.0))
     else:

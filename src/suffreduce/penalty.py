@@ -72,3 +72,22 @@ class PenaltySpec:
         if w.ndim != 0:
             raise ValueError(f"{self.kind.value}: expected a scalar weight")
         return float(w)
+
+
+def _group_keep(x: np.ndarray, blocks: Partition, lam) -> np.ndarray:
+    """Per coordinate of x: does its block's Euclidean norm exceed the
+    block threshold?"""
+    if blocks.p != x.shape[0]:
+        raise ValueError("partition does not cover the vector")
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape[0] == 1:
+        lam = np.repeat(lam, len(blocks.blocks))
+    if lam.shape[0] != len(blocks.blocks):
+        raise ValueError("need one threshold per block (or a scalar)")
+    if np.any(lam < 0):
+        raise ValueError("thresholds must be nonnegative")
+    keep = np.zeros(x.shape, dtype=bool)
+    for k, blk in enumerate(blocks.blocks):
+        idx = list(blk)
+        keep[idx] = np.linalg.norm(x[idx]) > lam[k]
+    return keep

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linkage import Partition, cluster_matrix, components, threshold_components
 from .orbit import MaskProjection
-from .penalty import GroupId, PenaltyKind, PenaltySpec
+from .penalty import GroupId, PenaltyKind, PenaltySpec, _group_keep
 from .symmat import SymMatrix, as_symmetric
 
 __all__ = [
@@ -57,25 +57,6 @@ def group_hard_threshold(x, blocks: Partition, lam) -> np.ndarray:
     """Zero whole blocks whose Euclidean norm is <= the block threshold."""
     x = np.asarray(x, dtype=float)
     return np.where(_group_keep(x, blocks, lam), x, 0.0)
-
-
-def _group_keep(x: np.ndarray, blocks: Partition, lam) -> np.ndarray:
-    """Per coordinate of x: does its block's Euclidean norm exceed the
-    block threshold?"""
-    if blocks.p != x.shape[0]:
-        raise ValueError("partition does not cover the vector")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape[0] == 1:
-        lam = np.repeat(lam, len(blocks.blocks))
-    if lam.shape[0] != len(blocks.blocks):
-        raise ValueError("need one threshold per block (or a scalar)")
-    if np.any(lam < 0):
-        raise ValueError("thresholds must be nonnegative")
-    keep = np.zeros(x.shape, dtype=bool)
-    for k, blk in enumerate(blocks.blocks):
-        idx = list(blk)
-        keep[idx] = np.linalg.norm(x[idx]) > lam[k]
-    return keep
 
 
 def positive_part(x) -> np.ndarray:

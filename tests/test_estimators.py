@@ -404,7 +404,7 @@ class TestDualFeasibleStart:
         # which meet the KKT conditions exactly
         s = self._equi(5)
         rep = self._certified(s, lam, penalize_diagonal=diag)
-        assert rep.iterations == 1
+        assert rep.iterations == 0
         lam_mat = np.full((5, 5), lam) if diag else lam * (1.0 - np.eye(5))
         w0_inv = np.linalg.inv(self._w0(s, lam_mat))
         assert np.max(np.abs(rep.theta.dense() - w0_inv)) <= 1e-12
@@ -435,12 +435,79 @@ class TestDualFeasibleStart:
         spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.4), opts=OPTS)
         rep = solve_decomposed(spec, SymMatrix.wrap(block_diag(*blocks)))
         assert rep.converged and [len(b.indices) for b in rep.blocks] == [4] * 4
+        # the equicorrelated members are certified at their start and leave
+        # before the ADMM; the other two iterate
+        assert [b.iterations == 0 for b in rep.blocks] == [True, False, False, True]
         theta = rep.theta.dense()
-        for stat, b in zip(rep.blocks, blocks):
+        for stat, b, start in zip(rep.blocks, blocks, starts):
             alone = solve(spec, b)
             assert stat.iterations == alone.iterations
             ix = np.ix_(stat.indices, stat.indices)
             assert theta[ix].tobytes() == alone.theta.dense().tobytes()
+            if stat.iterations == 0:
+                assert theta[ix].tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize("diag", [False, True])
+    def test_equicorrelated_blocks_take_no_eigendecomposition(self, diag, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        blocks = [self._equi(4), self._equi(5), 2.0 * self._equi(4)]
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2),
+                             penalize_diagonal=diag, opts=OPTS)
+        rep = solve_decomposed(spec, SymMatrix.wrap(block_diag(*blocks)))
+        assert rep.converged and [b.iterations for b in rep.blocks] == [0, 0, 0]
+        assert calls == []
+
+    # connected but not a clique of the thresholded graph at lam 0.2
+    PATH = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.5], [0.1, 0.5, 1.0]])
+    # a clique at lam 0.1 whose w0^-1 has the sign of x, not of -x, at (0, 2)
+    SAME_SIGN = np.array([[1.0, 0.9, 0.5], [0.9, 1.0, 0.9], [0.5, 0.9, 1.0]])
+
+    # iterations: what each input takes with the ADMM run from its start;
+    # INDEFINITE is a clique at lam 0.4 that starts at diag(1/d)
+    @pytest.mark.parametrize("case, lam, tol, iterations", [
+        ("not_a_clique", 0.2, 1e-9, 9),
+        ("cold_start", 0.4, 1e-9, 50),
+        ("same_sign", 0.1, 1e-9, 38),
+        ("tol_below_rounding", 0.5, 2e-16, 194),
+    ])
+    def test_start_that_fails_runs_the_admm_from_it(self, case, lam, tol, iterations,
+                                                    monkeypatch):
+        """A member that fails the entrywise gate takes no certificate before
+        the ADMM; one that passes it but whose start misses a tolerance finer
+        than w0^-1's rounding pays one.  Both run the ADMM from the start pair
+        (w0^-1 or diag(1/d), (w0 - x) / rho)."""
+        import suffreduce.estimators as est
+
+        s = {"not_a_clique": self.PATH, "cold_start": self.INDEFINITE, "same_sign": self.SAME_SIGN,
+             "tol_below_rounding": self._equi(3)}[case]
+        events = []
+        admm, kkt = est._admm, est._glasso_kkt
+
+        def spy_admm(name, x, z0, *args, u0=None):
+            events.append(("admm", z0.tobytes(), u0.tobytes()))
+            return admm(name, x, z0, *args, u0=u0)
+
+        def spy_kkt(*args, **kwargs):
+            events.append(("kkt",))
+            return kkt(*args, **kwargs)
+
+        monkeypatch.setattr(est, "_admm", spy_admm)
+        monkeypatch.setattr(est, "_glasso_kkt", spy_kkt)
+        rep = glasso(SymMatrix.wrap(s), lam, SolverOptions(tol=tol))
+        assert rep.converged and rep.iterations == iterations
+        assert rep.kkt_residual <= tol * (1.0 + np.max(np.abs(s)))
+        lam_mat = lam * (1.0 - np.eye(len(s)))
+        z0, w0, _ = _glasso_start(s[None], lam_mat, np.diag(s)[None])
+        admm_at = [e[0] for e in events].index("admm")
+        assert events[admm_at][1:] == (z0.tobytes(), ((w0 - s) / _RHO).tobytes())
+        assert admm_at == (1 if case == "tol_below_rounding" else 0)
 
 
 class TestClosedForms:
@@ -898,7 +965,8 @@ class TestSolveDispatcher:
         spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
                              penalize_diagonal=True, opts=OPTS)
         rep = solve(spec, x)
-        assert rep.converged and rep.iterations > 0
+        # with scalar weights this input is solved by its start w0^-1
+        assert rep.converged and (rep.iterations == 0) == (weights == "scalar")
         assert kkt_residual(spec, x, rep.theta) == rep.kkt_residual
         assert objective_at(spec, x, rep.theta) == rep.objective
 
@@ -1371,7 +1439,8 @@ class TestSizeGroups:
         spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
                              penalize_diagonal=True, opts=OPTS)
         rep = solve_decomposed(spec, x)
-        assert rep.converged and rep.iterations > 0
+        # each block is solved by its start 1 / (x_ii + lam)
+        assert rep.converged and rep.iterations == 0
         for stat, blk in zip(rep.blocks, threshold_components(x, lam).blocks):
             direct = solve(spec, x.dense()[np.ix_(blk, blk)])
             assert stat.indices == blk and stat.iterations == direct.iterations

@@ -242,3 +242,41 @@ class TestProjectionConditions:
         ragged = MaskProjection(GroupId.SIGN_FLIP_VECTOR, vector=np.array([1.0, 0.0, 0.0, 0.0]))
         rep = check_projection_conditions(ragged, x, pen, GroupId.SIGN_FLIP_VECTOR)
         assert not rep.all_hold
+
+    @staticmethod
+    def _group_l2_feasible_by_loop(d, x, blocks, lam):
+        """Reference: the block loop the check used before it read the keep
+        mask of group_hard_threshold."""
+        for k, blk in enumerate(blocks.blocks):
+            db = d[list(blk)]
+            if np.all(db == 1.0):
+                continue
+            if np.any(db == 1.0) or np.linalg.norm(x[list(blk)]) > lam[k]:
+                return False
+        return True
+
+    def test_group_l2_matches_the_block_loop(self):
+        from suffreduce.linkage import Partition
+        from suffreduce.reductions import group_hard_threshold
+
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for trial in range(300):
+            p = int(rng.integers(1, 13))
+            blocks = Partition.from_labels(rng.integers(0, 4, size=p))
+            lam = rng.uniform(0.0, 2.0, size=len(blocks))
+            x = rng.standard_normal(p)
+            pen = PenaltySpec(PenaltyKind.GROUP_L2, lam, blocks=blocks)
+            kind = trial % 3
+            if kind == 0:  # the reduction's own mask
+                d = (group_hard_threshold(x, blocks, lam) != 0.0).astype(float)
+            elif kind == 1:  # constant on each block, kept or killed at random
+                d = rng.integers(0, 2, size=len(blocks))[np.array(blocks.labels)].astype(float)
+            else:  # entrywise at random, so mostly mixed within a block
+                d = rng.integers(0, 2, size=p).astype(float)
+            mask = MaskProjection(GroupId.SIGN_FLIP_VECTOR, vector=d)
+            got = check_projection_conditions(mask, x, pen, GroupId.SIGN_FLIP_VECTOR)
+            want = self._group_l2_feasible_by_loop(d, x, blocks, lam)
+            assert got.dual_feasibility == want
+            outcomes.add((kind, want))
+        assert outcomes == {(0, True), (1, True), (1, False), (2, True), (2, False)}
