@@ -22,7 +22,10 @@ importing the library from the exported ``src/`` and once from this tree's
   that the state enumeration is pinned directly and not only through the
   Ising solves;
 - decomposed glasso on one planted p = 500 input (25 blocks) per seed at
-  the eight lambdas 0.30 .. 0.66;
+  the eight lambdas 0.30 .. 0.66, with ``kkt_residual`` and
+  ``objective_at`` at each solution: the p x p check on the one-block
+  partition, at the points whose blocks the decomposed solve certifies
+  from its stacks;
 - glasso (lambda 0.3), sparse_cov (eps 0.5, lambda 0.3) and positive_invcov,
   the same way, on one planted p = 200 input per seed with ten 20x20 blocks
   (its off-block entries made nonpositive for positive_invcov): decomposed
@@ -354,7 +357,9 @@ class _Dump:
                 spec = Spec(Fam.GLASSO, l1(lam), opts=Opts(tol=1e-7))
                 key = f"planted/{seed}/{lam:.4f}"
                 self.reduction(key, spec, xp)
-                self.solved(key, "solve_decomposed", spec, xp)
+                rep = self.solved(key, "solve_decomposed", spec, xp)
+                if rep is not None:
+                    self.point(f"{key}/solve_decomposed/at_solution", spec, xp, rep.theta)
 
             v = gen.standard_normal(40)
             for name, penalty, family in (

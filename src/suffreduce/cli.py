@@ -120,12 +120,12 @@ def _cmd_cov(args) -> int:
 
 def _cmd_cluster(args) -> int:
     x = _load_symmetric(args.matrix)
+    if args.clusters is not None and args.lam is None:
+        raise ValueError("--clusters requires --lam")
     dend = mst_kruskal(x)
+    part = None if args.clusters is None else cut_dendrogram(dend, args.lam)  # checks --lam
     write_json(args.dendrogram, dend.to_dict())
-    if args.clusters is not None:
-        if args.lam is None:
-            raise ValueError("--clusters requires --lam")
-        part = cut_dendrogram(dend, args.lam)
+    if part is not None:
         write_matrix_csv(args.clusters, cluster_matrix(part).dense())
     return EXIT_OK
 

@@ -39,15 +39,16 @@ when to certify, never whether a point is optimal.
 
 A family is defined by one record in ``_FAMILIES``; every entry point looks
 it up and checks the spec against it.  Matrix families have one certificate
-path, the block by block check: solve_decomposed runs it on the screened
-partition, kkt_residual and objective_at on the one-block partition.  For
-the separable families the KKT conditions and the objective split over the
-blocks, so a decomposed solve is certified reading only the input and the
-point, with no eigendecomposition of the whole matrix.  Both the check and
-solve_decomposed work on size groups: all blocks of one size are gathered
-into one (B, n, n) stack, which the family's solver solves in one call and
-its block residual and objective piece score in one call, so a 1x1 block is
-a member of a (B, 1, 1) stack like any other.
+path, the block by block check on stacks of x and of the point: a
+decomposed solve runs it on the stacks it reports, kkt_residual and
+objective_at on the one-block partition.  For the separable families the
+KKT conditions and the objective split over the blocks, so a decomposed
+solve is certified reading only the input and the point, with no
+eigendecomposition of the whole matrix.  Both the check and solve_decomposed
+work on size groups: all blocks of one size are gathered into one (B, n, n)
+stack, which the family's solver solves in one call and its block residual
+and objective piece score in one call, so a 1x1 block is a member of a
+(B, 1, 1) stack like any other.
 
 fantope_spca keeps its own ADMM loop and still stops on its ADMM residuals
 rather than on an independent certificate (ROADMAP item 1).
@@ -1269,48 +1270,60 @@ def _size_groups(partition: Partition) -> list:
 
 def _separable_check(spec: EstimatorSpec, x, theta, groups, residual: bool = True,
                      objective: bool = True) -> tuple[float | None, float | None]:
-    """KKT residual and objective of a matrix family at a theta that is
-    zero off the blocks of a partition, computed block by block; ``groups``
-    is :func:`_size_groups` of that partition.
+    """:func:`_stack_check` of a p x p theta on the partition whose
+    :func:`_size_groups` are ``groups``, or (inf, nan) if theta has a
+    nonzero entry (NaN and inf included) off its blocks."""
+    s = np.asarray(x, dtype=float)
+    td = np.asarray(theta, dtype=float)
+    stacks = [(s[ix], td[ix]) for _, ix in groups]
+    # theta is zero off the blocks exactly when the blocks hold all its nonzeros
+    if np.count_nonzero(td) != sum(np.count_nonzero(t) for _, t in stacks):
+        return np.inf, np.nan
+    return _stack_check(spec, s, td, groups, stacks, residual, objective)[:2]
+
+
+def _stack_check(spec: EstimatorSpec, s, theta, groups, stacks, residual: bool = True,
+                 objective: bool = True) -> tuple[float | None, float | None, float | None]:
+    """KKT residual, objective and max|x| of a matrix family at a theta that
+    is zero off the blocks of a partition, computed block by block from
+    ``stacks``, the [(x stack, theta stack)] of its :func:`_size_groups`
+    ``groups``; only the Ising and fantope_spca objectives read p x p theta.
 
     Off the blocks the condition is the screening inequality on x itself,
     scored as its excess: max(|x_ij| - lam, 0), or max(x_ij, 0) for
-    positive_invcov.  On each block it is the family's residual at (x_bb,
-    theta_bb), with support classified against max|theta| over the whole
-    matrix, so every partition gives the one-block result up to rounding.
-    The blocks of one size are scored as one stack; their objective pieces
-    are put back in partition order, so the objective sums in that order.
-    As theta is zero off the blocks, the entrywise objective terms of glasso
-    and positive_invcov are summed over the blocks only.
-    No solver state is read.  ``residual=False`` or ``objective=False``
-    skips that half, which then reads None.  Returns (inf, nan) if theta has
-    a non-finite entry or a nonzero entry off the blocks, or if a residual
-    term is NaN.
+    positive_invcov.  That one pass over x also gives max|x| (nan if x has
+    a NaN), before the blocks are zeroed.  On each block it is the family's
+    residual at (x_bb, theta_bb), with support classified against
+    max|theta| over all stacks, so every partition gives the one-block
+    result up to rounding.  The blocks of one size are scored as one stack;
+    their objective pieces are put back in partition order, so the
+    objective sums in that order.  As theta is zero off the blocks, the
+    entrywise objective terms of glasso and positive_invcov are summed over
+    the blocks only.  No solver state is read.  ``residual=False`` or
+    ``objective=False`` skips that half, which then reads None (max|x|
+    too, without ``residual``).  The residual is inf and the objective nan
+    if a theta stack has a non-finite entry, or if a residual term is NaN.
     """
     rec = _family(spec)
-    s = np.asarray(x, dtype=float)
-    td = np.asarray(theta, dtype=float)
-    top = _absmax(td)  # nan or inf when an entry is
-    if not np.isfinite(top):
-        return np.inf, np.nan
     blocks = sum(len(members) for members, _ in groups)
-    thetas = [td[ix] for _, ix in groups]
-    # theta is zero off the blocks exactly when the blocks hold all its nonzeros
-    if np.count_nonzero(td) != sum(np.count_nonzero(t) for t in thetas):
-        return np.inf, np.nan
-    resid = [0.0]
+    resid, top_x = [0.0], None
     if residual and blocks > 1:
         signed = rec.kind is PenaltyKind.OFFDIAG_POSITIVITY
         # one p x p work array and no masked copies: temporaries whose size
         # varies from solve to solve fragment the heap and raise peak memory
         work = s.copy() if signed else np.abs(s)
+        top_x = _absmax(work) if signed else float(work.max())
         for _, ix in groups:
             work[ix] = 0.0
         resid.append(max(float(work.max()) - (0.0 if signed else _lam(spec)), 0.0))
         del work
+    elif residual:
+        top_x = _absmax(s)
+    top = float(np.max([_absmax(t) for _, t in stacks]))  # nan or inf when an entry is
+    if not np.isfinite(top):
+        return np.inf, np.nan, top_x
     pieces = [None] * blocks
-    for (members, ix), t in zip(groups, thetas):
-        sb = s[ix]
+    for (members, _), (sb, t) in zip(groups, stacks):
         shared = rec.share(spec, sb, t)
         if objective:
             for i, piece in zip(members, rec.piece(spec, sb, t, shared)):
@@ -1320,9 +1333,9 @@ def _separable_check(spec: EstimatorSpec, x, theta, groups, residual: bool = Tru
     if residual and np.isnan(resid).any():
         # max() keeps its first argument against a NaN, so a NaN term would
         # otherwise vanish from the residual
-        return np.inf, np.nan
+        return np.inf, np.nan, top_x
     return (max(resid) if residual else None,
-            rec.objective(spec, s, td, pieces) if objective else None)
+            rec.objective(spec, s, theta, pieces) if objective else None, top_x)
 
 
 def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
@@ -1347,9 +1360,10 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     them; off the blocks theta is zero, which is never on the support.  No
     p x p pass symmetrizes theta or classifies its support.  If a block
     fails, the error is the one that solving the blocks one by one in
-    partition order would raise first.  The reassembled theta is
-    certified block by block against the original input
-    (:func:`_separable_check`), which gives :func:`kkt_residual` and
+    partition order would raise first.  The stacks scattered into theta
+    are certified block by block against the read-only input stacks the
+    solver was given (:func:`_stack_check`): :func:`_separable_check` of
+    the reported theta bit for bit, :func:`kkt_residual` and
     :func:`objective_at` up to rounding; ``converged`` means that residual
     is at most ``opts.tol * (1 + max|x|)``.  fantope_spca's blocks share
     its trace budget, so it has no stack solver: it is solved on the whole
@@ -1377,11 +1391,13 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     try:
         for members, ix in groups:
             start = time.perf_counter()
-            solved = rec.stack(spec, s[ix])
+            xb = s[ix]
+            xb.flags.writeable = False  # the certificate reads it after the solver
+            solved = rec.stack(spec, xb)
             t = np.stack([theta_b for theta_b, _, _ in solved])
             t = (t + t.mT) / 2.0
             theta[ix] = t
-            stacks.append((ix, t))
+            stacks.append((xb, t))
             share = (time.perf_counter() - start) / len(members)
             for i, (_, _, it) in zip(members, solved):
                 stats[i] = BlockStat(blocks[i], it, share)
@@ -1394,11 +1410,9 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
 
     top = max(_absmax(t) for _, t in stacks)
     support = np.zeros((xm.p, xm.p), dtype=bool)
-    for ix, t in stacks:
+    for (_, ix), (_, t) in zip(groups, stacks):
         support[ix] = _support(t, top)
-    del stacks, t  # no copy of the blocks lives through the check
-    theta = SymMatrix(theta)  # exactly symmetric already
-    kkt, objective = _separable_check(spec, xm, theta, groups)
-    converged = kkt <= spec.opts.tol * (1.0 + _absmax(s))
-    return SolveReport(theta, objective, kkt, sum(st.iterations for st in stats),
-                       converged, support, tuple(stats))
+    kkt, objective, top_x = _stack_check(spec, s, theta, groups, stacks)
+    converged = kkt <= spec.opts.tol * (1.0 + top_x)
+    return SolveReport(SymMatrix(theta), objective, kkt,  # exactly symmetric already
+                       sum(st.iterations for st in stats), converged, support, tuple(stats))

@@ -120,10 +120,12 @@ def components(adj) -> Partition:
 def threshold_components(x: SymMatrix, lam: float) -> Partition:
     """Connected components of the graph {(i, j): i < j, |x_ij| > lam}.
 
-    x is read in place, not copied; it is left untouched."""
+    x is read in place, not copied; it is left untouched.  The graph is
+    (x > lam) | (x < -lam): |x| > lam with no float temporary."""
     if not lam >= 0:  # also rejects NaN, which no comparison would select
         raise ValueError(f"threshold must be >= 0, got {lam}")
-    return components(np.abs(np.asarray(x)) > lam)
+    a = np.asarray(x)
+    return components((a > lam) | (a < -lam))
 
 
 @dataclass(frozen=True)

@@ -75,18 +75,21 @@ class TestCluster:
         assert dj.exists()
 
     def test_clusters_need_level(self, tmp_path, matrix3):
-        assert main(["cluster", matrix3, "--dendrogram", str(tmp_path / "d.json"),
+        dj = tmp_path / "d.json"
+        assert main(["cluster", matrix3, "--dendrogram", str(dj),
                      "--clusters", str(tmp_path / "c.csv")]) == 2
+        assert not dj.exists()
 
     def test_asymmetric_input_rejected(self, tmp_path):
         bad = write_lines(tmp_path / "bad.csv", "1,0.9\n0.1,1\n")
         assert main(["cluster", bad, "--dendrogram", str(tmp_path / "d.json")]) == 2
 
     def test_nan_level_rejected(self, tmp_path, matrix3):
-        cc = tmp_path / "c.csv"
-        assert main(["cluster", matrix3, "--dendrogram", str(tmp_path / "d.json"),
-                     "--lam", "nan", "--clusters", str(cc)]) == 2
-        assert not cc.exists()
+        cc, dj = tmp_path / "c.csv", tmp_path / "d.json"
+        for lam in ("nan", "-1"):
+            assert main(["cluster", matrix3, "--dendrogram", str(dj),
+                         "--lam", lam, "--clusters", str(cc)]) == 2
+            assert not cc.exists() and not dj.exists()
 
     def test_p1(self, tmp_path):
         one = write_lines(tmp_path / "one.csv", "2.0\n")

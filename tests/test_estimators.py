@@ -1163,10 +1163,29 @@ class TestSolveDecomposed:
         theta[i, j] = theta[j, i] = 1e-3
         assert _separable_check(spec, x, SymMatrix.wrap(theta), _size_groups(partition))[0] == np.inf
 
-    def test_blockwise_certificate_rejects_nan(self, rng):
+    def test_blockwise_certificate_rejects_nan(self, rng, monkeypatch):
         spec, x, partition, theta = self._glasso_solution(rng)
-        theta[0, 0] = np.nan
-        assert _separable_check(spec, x, theta, _size_groups(partition))[0] == np.inf
+        groups = _size_groups(partition)
+        first, last = partition.blocks[0], partition.blocks[groups[-1][0][-1]]
+        # theta: a NaN at (0, 0) and an inf in the last member of the last stack
+        for (i, j), v in (((0, 0), np.nan), ((last[0], last[-1]), np.inf)):
+            t = theta.copy()
+            t[i, j] = t[j, i] = v
+            kkt, objective = _separable_check(spec, x, t, groups)
+            assert kkt == np.inf and np.isnan(objective)
+        # x: a NaN off the blocks, then on a block's diagonal; the solver is
+        # given the clean stack, so only the certificate sees the NaN
+        xd, k = x.dense(), first[0]
+        real = _FAMILIES[Family.GLASSO].stack
+        monkeypatch.setitem(_FAMILIES, Family.GLASSO, dataclasses.replace(
+            _FAMILIES[Family.GLASSO],
+            stack=lambda spec, xs: real(spec, np.nan_to_num(xs, nan=xd[k, k]))))
+        for i, j in ((k, last[0]), (k, k)):
+            xn = xd.copy()
+            xn[i, j] = xn[j, i] = np.nan
+            assert _separable_check(spec, SymMatrix(xn), theta, groups)[0] == np.inf
+            rep = solve_decomposed(spec, SymMatrix(xn.copy()))
+            assert rep.kkt_residual == np.inf and not rep.converged
 
     def test_nan_penalty_never_certifies(self):
         """A NaN weight that gets past PenaltySpec (set after construction)
@@ -1290,6 +1309,82 @@ class TestFlatPlumbing:
         assert np.array_equal(rep.support, _support(want))
         [small] = [np.ix_(b.indices, b.indices) for b in rep.blocks if len(b.indices) == 4]
         assert _support(want[small]).any() and not rep.support[small].any()
+
+
+class TestStackCertificate:
+    """solve_decomposed certifies the stacks it reports, reusing its
+    read-only input stacks, instead of the p x p theta it scatters them
+    into; that must be the p x p check of the reported theta, bit for bit."""
+
+    CASES = [(Family.GLASSO, False), (Family.GLASSO, True), (Family.SPARSE_COV, False),
+             (Family.POSITIVE_INVCOV, False), (Family.ISING_PMLE, False)]
+
+    @staticmethod
+    def _case(family, diag=False):
+        """A spec and an input whose screening gives blocks of several sizes."""
+        if family is Family.ISING_PMLE:
+            return (EstimatorSpec(family, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                                  opts=SolverOptions(tol=1e-10)),
+                    TestFlatPlumbing._planted(sign_instance, TestFlatPlumbing.SIZES))
+        penalty = (PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY) if family is Family.POSITIVE_INVCOV
+                   else PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3))
+        spec = EstimatorSpec(family, penalty, penalize_diagonal=diag, opts=OPTS,
+                             eps=0.05 if family is Family.SPARSE_COV else None)
+        x = TestFlatPlumbing._planted(lambda rng, n: random_instance(rng, n, n_blocks=1),
+                                      TestFlatPlumbing.SIZES)
+        return spec, x
+
+    @pytest.mark.parametrize("family, diag", CASES)
+    def test_report_is_the_check_of_its_theta(self, family, diag):
+        spec, x = self._case(family, diag)
+        rep = solve_decomposed(spec, x)
+        partition = reduce_input(*reduction_for(spec), x).partition
+        assert len({len(b) for b in partition.blocks}) >= 3
+        kkt, objective = _separable_check(spec, x, rep.theta, _size_groups(partition))
+        assert rep.kkt_residual.hex() == kkt.hex()
+        assert rep.objective.hex() == objective.hex()
+        assert rep.converged == (kkt <= spec.opts.tol * (1.0 + np.max(np.abs(x.dense()))))
+        assert rep.converged
+
+    @pytest.mark.parametrize("family, diag", CASES)
+    def test_stack_solvers_accept_read_only_input(self, family, diag):
+        spec, x = self._case(family, diag)
+        stack = _FAMILIES[family].stack
+        s = x.dense()
+        for _, ix in _size_groups(reduce_input(*reduction_for(spec), x).partition):
+            xs = s[ix]
+            xs.flags.writeable = False
+            for (t, kkt, it), (tw, kktw, itw) in zip(stack(spec, xs), stack(spec, xs.copy()),
+                                                     strict=True):
+                assert t.tobytes() == tw.tobytes() and kkt == kktw and it == itw
+
+    def test_solver_gets_read_only_stacks_and_a_non_finite_member_fails(self, monkeypatch):
+        """Every stack reaches the solver read-only; a NaN or inf in the last
+        member of any one stack gives (inf, nan), whichever stack it is."""
+        spec, x = self._case(Family.GLASSO)
+        real = _FAMILIES[Family.GLASSO].stack
+        seen, poison = [], {}
+
+        def solver(spec, xs):
+            seen.append(xs.flags.writeable)
+            out = real(spec, xs)
+            if xs.shape[-1] in poison:
+                t = out[-1][0].copy()
+                t[0, -1] = t[-1, 0] = poison[xs.shape[-1]]
+                out[-1] = (t,) + out[-1][1:]
+            return out
+
+        monkeypatch.setitem(_FAMILIES, Family.GLASSO,
+                            dataclasses.replace(_FAMILIES[Family.GLASSO], stack=solver))
+        assert solve_decomposed(spec, x).converged
+        assert seen and not any(seen)
+        for n in sorted(set(TestFlatPlumbing.SIZES)):
+            for v in (np.nan, np.inf, -np.inf):
+                poison.clear()
+                poison[n] = v
+                rep = solve_decomposed(spec, x)
+                assert rep.kkt_residual == np.inf and np.isnan(rep.objective)
+                assert not rep.converged
 
 
 class TestSizeGroups:

@@ -144,6 +144,23 @@ class TestThresholdComponents:
         # an edge exactly at the level does not connect
         assert threshold_components(X3, 0.8).blocks == ((0,), (1,), (2,))
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, float("inf")])
+    def test_graph_is_abs_above_lam_at_the_edges(self, lam):
+        """NaN, +-inf, -0.0 and entries equal to lam (+-0.5, +-1) screen as
+        np.abs(x) > lam does."""
+        a = np.array([
+            [2.0, np.nan, -0.0, 0.5, -0.5, 1.0],
+            [0.0, 2.0, np.inf, 0.0, -1.0, 0.3],
+            [0.0, 0.0, 2.0, -np.inf, 0.0, -0.0],
+            [0.0, 0.0, 0.0, 2.0, 0.7, np.nan],
+            [0.0, 0.0, 0.0, 0.0, 2.0, -0.2],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 2.0],
+        ])
+        low = np.tril_indices(6, -1)
+        a[low] = a.T[low]  # a mirror copy keeps -0.0, which a + a.T would not
+        x = SymMatrix(a)
+        assert threshold_components(x, lam) == components(np.abs(np.asarray(x)) > lam)
+
     @pytest.mark.parametrize("lam", [-0.1, float("nan")])
     def test_negative_or_nan_lam_rejected(self, lam):
         with pytest.raises(ValueError, match="threshold must be >= 0"):
