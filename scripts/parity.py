@@ -21,6 +21,10 @@ importing the library from the exported ``src/`` and once from this tree's
 - ``ising_logpartition`` on seeded couplings at p = 1, 2, 7, 12 and 15, so
   that the state enumeration is pinned directly and not only through the
   Ising solves;
+- decomposed Ising on one planted p = 60 sign input per seed (5 blocks of
+  12, n_obs 2000, flip_prob 0.15, lambda 0.2, tol 1e-8): the reduction and
+  ``solve_decomposed`` alone, as a direct solve and the p x p check would
+  enumerate all 60 spins, above the cap of 15;
 - decomposed glasso on one planted p = 500 input (25 blocks) per seed at
   the eight lambdas 0.30 .. 0.66, with ``kkt_residual`` and
   ``objective_at`` at each solution: the p x p check on the one-block
@@ -335,6 +339,11 @@ class _Dump:
                                  xs, pert)
 
             self.enumeration(seed)
+            xi = sign_instance(np.random.default_rng([seed, 8]), 60, n_obs=2000, n_blocks=5,
+                               flip_prob=0.15)
+            spec = Spec(Fam.ISING_PMLE, l1(0.2), opts=Opts(tol=1e-8))
+            self.reduction(f"ising_decomposed/{seed}/60", spec, xi)
+            self.solved(f"ising_decomposed/{seed}/60", "solve_decomposed", spec, xi)
             self.singletons(seed, crit, pert)
             tied = np.triu(np.random.default_rng([seed, 4]).integers(-3, 4, (16, 16)) / 4.0, 1)
             self.screening(f"tied/{seed}/screening",

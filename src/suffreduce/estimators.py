@@ -27,9 +27,12 @@ point is only where the map is evaluated next: the certificate, the residual
 norms and the reported point always come from a map output (the prox_g
 output z, or theta for sparse_cov), so exact zeros and sign constraints hold.
 Convergence is declared only when an independently recomputed KKT residual
-at the reported point falls below ``opts.tol * (1 + max|input|)``; the same
-residual functions are exposed for verification, so the certificate never
-reuses solver state, and a point with a non-finite entry never certifies.
+at the reported point is finite and at most ``opts.tol * (1 + max|input|)``
+(an infinite input makes that bound inf, which an inf residual would meet);
+the same residual functions are exposed for verification, so the
+certificate never reuses solver state, and a point with a non-finite entry
+never certifies.  A LinAlgError from a solve (an eigendecomposition of a
+block holding a NaN) reaches the caller as ConvergenceError.
 The certificate runs every ``_CHECK_EVERY`` iterations, at the last
 iteration, and at most once per window of ``_CHECK_EVERY`` iterations when
 both ADMM residual norms (primal |theta - z|_F, dual rho |z - z_old|_F) are
@@ -50,12 +53,21 @@ stack, which the family's solver solves in one call and its block residual
 and objective piece score in one call, so a 1x1 block is a member of a
 (B, 1, 1) stack like any other.
 
+ising_pmle works on the couplings t = (theta_ij), i < j, a vector of length
+m = p (p - 1) / 2, and on the read-only pair table P (2^(p-1), m), cached
+per p, with P[s, ij] = u_i u_j over one sign vector u of each spin-flip
+pair: the energies are the product P (2t) and the moment the product w P of
+the normalized weights w.  Its proximal gradient descent, its KKT residual
+and the blockwise Ising certificate all work on such vectors, with no
+diagonal to zero and no moment to symmetrize.
+
 fantope_spca keeps its own ADMM loop and still stops on its ADMM residuals
 rather than on an independent certificate (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -344,7 +356,7 @@ def _admm(name, x, z0, prox_f, prox_g, certify, max_iter: int, tol, u0=None):
             pick = slice(None) if len(due) == len(live) else due
             resid, points = certify(x[pick], theta[pick], f[pick, 0])
             for k, point, r in zip(due, points, resid.tolist()):
-                if r <= tol[k]:
+                if _certifies(r, tol[k]):
                     out[live[k]] = (point.copy(), r, it)
                     gone.append(k)
             if len(gone) == len(live):
@@ -402,9 +414,17 @@ def _admm(name, x, z0, prox_f, prox_g, certify, max_iter: int, tol, u0=None):
     )
 
 
+def _certifies(resid, tol) -> bool:
+    """resid <= tol for a finite resid.  inf <= inf holds, so without the
+    finiteness test an infinite residual would certify wherever an infinite
+    input entry makes tol infinite; NaN fails both tests."""
+    return bool(resid <= tol) and math.isfinite(resid)
+
+
 def _require_certified(name, resid, tol):
-    """A closed-form point certifies like an ADMM one: raise unless resid <= tol."""
-    if not resid <= tol:
+    """A closed-form point certifies like an ADMM one: raise unless
+    :func:`_certifies` (resid, tol)."""
+    if not _certifies(resid, tol):
         raise ConvergenceError(f"{name}: KKT residual {resid:.3e} above tol {tol:.3e}")
 
 
@@ -622,7 +642,7 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
         out = [None] * len(s)
         if first.size:
             for b, r in zip(first, _glasso_kkt(s[first], lam_mat, z0[first]).tolist()):
-                if r <= tol[b]:
+                if _certifies(r, tol[b]):
                     out[b] = (z0[b], r, 0)
         rest = [b for b, o in enumerate(out) if o is None]
         if rest:
@@ -921,70 +941,145 @@ def _positive_invcov_stack(s, opts: SolverOptions) -> list:
 
 
 # =====================================================================
-# pairwise sign-interaction model (pseudo count enumeration)
+# pairwise sign-interaction model (pair-table enumeration)
 # =====================================================================
 
 @lru_cache(maxsize=None)
-def _half_states(p: int) -> np.ndarray:
-    """The 2^(p-1) sign vectors of length p whose last coordinate is +1:
-    one of each pair u, -u."""
+def _pair_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(upper, lower, table) for p spins: the flat indices i p + j and j p +
+    i of the pairs i < j, in np.triu_indices order, and the read-only table
+    P (2^(p-1), p(p-1)/2) with P[s, k] = u_i u_j for the k-th pair over the
+    sign vectors u whose last coordinate is +1, one of each spin-flip pair
+    u, -u.  It holds 2^(p-2) p (p-1) floats: 1.1 MB at p = 12, 13.8 MB at
+    p = 15.  ValueError above ISING_MAX_P."""
+    if p > ISING_MAX_P:
+        raise ValueError(f"enumeration capped at p={ISING_MAX_P}, got {p}")
     codes = np.arange(2 ** (p - 1))[:, None]
-    states = 1.0 - 2.0 * ((codes >> np.arange(p)[None, :]) & 1)
-    states.flags.writeable = False
-    return states
+    states = 1.0 - 2.0 * ((codes >> np.arange(p)) & 1)
+    rows, cols = np.triu_indices(p, 1)
+    table = states[:, rows] * states[:, cols]
+    table.flags.writeable = False
+    return rows * p + cols, cols * p + rows, table
+
+
+def _gather(a, index):
+    """The entries of each matrix of a (..., p, p) at the flat indices
+    ``index``, C-contiguous: a fancy index a[..., rows, cols] strides the
+    members, and a strided dot product rounds differently."""
+    return np.take(a.reshape(*a.shape[:-2], -1), index, axis=-1)
+
+
+def _ising_moments(t, table) -> tuple[float, np.ndarray]:
+    """(logZ, moment) at the couplings t (m,) of the pairs of ``table``:
+    logZ = log sum_u exp(u' theta u) over all 2^p sign vectors, and moment[k]
+    = E[u_i u_j] for the k-th pair.  u and -u have the same energy and the
+    same u_i u_j, so the sum runs over the table's half states and adds log
+    2.  The energies are the product P (2t), the moment the product w P of
+    the normalized weights w, and one exp pass gives both logZ and w.  A
+    non-finite coupling makes every output NaN."""
+    energy = table @ (2.0 * t)
+    emax = float(energy.max())
+    weights = np.exp(energy - emax)
+    total = float(weights.sum())
+    weights /= total
+    return emax + math.log(total) + _LOG2, weights @ table
+
+
+def _ising_couplings(theta):
+    """(t, upper, table): the couplings t (..., m) of a matrix or a stack
+    theta (..., p, p), the mean of the two mirror entries of each pair, the
+    pairs' flat indices and the pair table.  ValueError unless theta has a
+    zero diagonal."""
+    upper, lower, table = _pair_table(theta.shape[-1])
+    if np.diagonal(theta, axis1=-2, axis2=-1).any():  # nan is nonzero too
+        raise ValueError("interaction matrix must have a zero diagonal")
+    return (_gather(theta, upper) + _gather(theta, lower)) / 2.0, upper, table
+
+
+def _scatter(t, p: int) -> np.ndarray:
+    """The matrices (..., p, p) with couplings t (..., m) and a zero diagonal."""
+    upper, lower, _ = _pair_table(p)
+    out = np.zeros(t.shape[:-1] + (p * p,))
+    out[..., upper] = t
+    out[..., lower] = t
+    return out.reshape(t.shape[:-1] + (p, p))
 
 
 def ising_logpartition(theta: SymMatrix) -> tuple[float, SymMatrix]:
     """Log partition function and moment matrix by state enumeration.
 
     theta must have an exactly zero diagonal and p <= 15.  Returns
-    (log sum_u exp(u' theta u), E[u u']), the sum over all 2^p sign vectors.
-    u and -u have the same energy u' theta u and the same u u', so the sum
-    runs over the 2^(p-1) vectors whose last sign is +1 and adds log 2 to
-    logZ; the moment is the same over either half.  The energies come from
-    one matrix product, and one exp pass gives both logZ and the weights.
+    (log sum_u exp(u' theta u), E[u u']), the sum over all 2^p sign vectors,
+    from one pass of :func:`_ising_moments` over the pair table.
     """
-    logz, moment = _ising_enumerate(np.asarray(theta))
-    return logz, SymMatrix.wrap(moment)
+    td = np.asarray(theta)
+    t, _, table = _ising_couplings(td)
+    logz, pairs = _ising_moments(t, table)
+    return logz, SymMatrix(_scatter(pairs, len(td)) + np.eye(len(td)))  # exactly symmetric
 
 
-def _ising_enumerate(td: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`ising_logpartition` on the array td, with its checks; the
-    moment comes back as an exactly symmetric array, the one SymMatrix.wrap
-    would store."""
-    p = td.shape[0]
-    if p > ISING_MAX_P:
-        raise ValueError(f"enumeration capped at p={ISING_MAX_P}, got {p}")
-    if td.diagonal().any():  # nan is nonzero too
-        raise ValueError("interaction matrix must have a zero diagonal")
-    states = _half_states(p)
-    # the array methods: np.sum's dispatch costs more than the sum at small p
-    energy = ((states @ td) * states).sum(axis=1)
-    emax = float(energy.max())
-    weights = np.exp(energy - emax)
-    total = float(weights.sum())
-    weights /= total
-    moment = (states * weights[:, None]).T @ states
-    np.fill_diagonal(moment, 1.0)
-    # a BLAS product need not come out exactly symmetric; the iterates of
-    # ising_pmle stay symmetric only if the moment is
-    return emax + float(np.log(total)) + _LOG2, (moment + moment.T) / 2.0
+def _ising_rest(lam: float, s, t) -> float:
+    """The objective less logZ at the couplings t, for the pair inputs s:
+    -<x, theta> + lam * sum_{i != j} |theta_ij|, each pair counted twice.  A
+    zero theta pays no penalty, also under an infinite weight (inf * 0 is
+    nan)."""
+    l1 = 2.0 * float(np.abs(t).sum())
+    return (lam * l1 if l1 else 0.0) - 2.0 * float(s @ t)
 
 
-def _ising_objective(s, lam, theta, logz) -> float:
-    l1 = float(np.sum(np.abs(theta)))
-    # a zero theta pays no penalty, also under an infinite weight (inf * 0 is nan)
-    return logz - float(np.sum(s * theta)) + (lam * l1 if l1 else 0.0)
+def _ising_kkt(grad, lam: float, t, top=None):
+    """KKT residual of the couplings t (..., m) with gradient grad = moment -
+    x over the pairs, support classified against top (by default max|t|);
+    copysign is lam * sign(t) on the support without inf * 0 off it.  NaN
+    where t has a non-finite entry, as the moment is then."""
+    size = np.abs(t)
+    if top is None:
+        top = size.max(initial=0.0)
+    r = np.where(size > SUPPORT_REL_TOL * top, np.abs(grad + np.copysign(lam, t)),
+                 np.maximum(np.abs(grad) - lam, 0.0))
+    return r.max(axis=-1, initial=0.0)
 
 
-@_certificate
-def _ising_kkt(moment_minus_s: np.ndarray, lam: float, theta: np.ndarray, top=None) -> float:
-    """KKT residual over the off-diagonal entries of theta; copysign is lam *
-    sign(theta) on the support without inf * 0 off it."""
-    r = np.where(_support(theta, top), np.abs(moment_minus_s + np.copysign(lam, theta)),
-                 np.maximum(np.abs(moment_minus_s) - lam, 0.0))
-    np.fill_diagonal(r, 0.0)  # every term is >= 0, so the zeros leave the max as it is
-    return float(r.max())
+def _ising_descent(s, lam: float, tol: float, max_iter: int, table):
+    """Monotone proximal gradient with backtracking on the couplings t of one
+    problem with pair inputs s (m,): (t, kkt, iterations, objective).  Each
+    step is the one the p x p iteration takes on every entry theta_ij,
+    soft(t - step (moment - s), step lam); as each pair stands for two
+    entries, the inner products of the backtracking bound count it twice.
+    The step grows by 1.25 after each accepted step, capped at 2 and at
+    1/L, L the largest curvature |grad change| / |t change| seen so far.
+    It stops at the first iterate whose KKT residual is finite and at most
+    tol."""
+    t = np.zeros(len(s))
+    logz, moment = _ising_moments(t, table)
+    grad = moment - s
+    step = 1.0
+    lhat = 0.0  # largest observed curvature; 1/lhat keeps the step contractive
+    for it in range(1, max_iter + 1):
+        kkt = float(_ising_kkt(grad, lam, t))
+        if _certifies(kkt, tol):
+            return t, kkt, it - 1, logz + _ising_rest(lam, s, t)
+        f_cur = logz - 2.0 * float(s @ t)
+        while True:
+            cand = _soft(t - step * grad, step * lam)
+            logz_new, moment_new = _ising_moments(cand, table)
+            f_new = logz_new - 2.0 * float(s @ cand)
+            diff = cand - t
+            move = float(diff @ diff)
+            bound = f_cur + 2.0 * float(grad @ diff) + move / step
+            if f_new <= bound + 1e-13 * max(1.0, abs(f_cur)):
+                break
+            step *= 0.5
+            if step < 1e-12:
+                raise ConvergenceError("backtracking step collapsed")
+        grad_new = moment_new - s
+        if move > 0.0:
+            change = grad_new - grad
+            lhat = max(lhat, math.sqrt(float(change @ change)) / math.sqrt(move))
+        t, logz, grad = cand, logz_new, grad_new
+        cap = 1.0 / lhat if lhat > 0.0 else 2.0
+        step = min(step * 1.25, cap, 2.0)
+    raise ConvergenceError(f"ising_pmle did not reach tol {tol:.3e} in {max_iter} iterations")
 
 
 def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> SolveReport:
@@ -992,61 +1087,27 @@ def ising_pmle(x: SymMatrix, lam: float, opts: SolverOptions | None = None) -> S
 
     Minimizes logpartition(theta) - <x, theta> + lam * sum_{i<j} 2|theta_ij|
     over symmetric theta with zero diagonal, by monotone proximal gradient
-    descent with backtracking.  logpartition and its gradient come from
-    :func:`ising_logpartition`, which enumerates one state of each spin-flip
-    pair u, -u (2^(p-1) states), so p <= 15.
+    descent with backtracking on the couplings theta_ij, i < j.  logpartition
+    and its gradient come from the pair-table enumeration of
+    :func:`ising_logpartition`, over one state of each spin-flip pair u, -u
+    (2^(p-1) states), so p <= 15.
     """
-    opts = opts or SolverOptions()
+    [(theta, kkt, it, objective)] = _ising_solves(np.asarray(x)[None], lam,
+                                                  opts or SolverOptions())
+    return _report_matrix(theta, objective, kkt, it, True)
+
+
+def _ising_solves(xs, lam: float, opts: SolverOptions) -> list:
+    """ising_pmle on each member of a stack xs (B, p, p), one after another:
+    [(theta, kkt, iterations, objective)] in stack order."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    p = x.p
-    s = x.dense()
-    tol = opts.tol * (1.0 + _absmax(s))
-    theta = np.zeros((p, p))
-    logz, moment = _ising_enumerate(theta)
-    step = 1.0
-    lhat = 0.0  # largest observed curvature; 1/lhat keeps the step contractive
-    for it in range(1, opts.max_iter + 1):
-        grad = moment - s
-        np.fill_diagonal(grad, 0.0)
-        kkt = _ising_kkt(grad, lam, theta)
-        if kkt <= tol:
-            return _report_matrix(theta, _ising_objective(s, lam, theta, logz), kkt, it - 1, True)
-        f_cur = logz - float(np.sum(s * theta))
-        while True:
-            cand = _soft(theta - step * grad, step * lam)
-            np.fill_diagonal(cand, 0.0)
-            logz_new, moment_new = _ising_enumerate(cand)
-            f_new = logz_new - float(np.sum(s * cand))
-            diff = cand - theta
-            bound = (
-                f_cur
-                + float(np.sum(grad * diff))
-                + float(np.sum(diff * diff)) / (2.0 * step)
-            )
-            if f_new <= bound + 1e-13 * max(1.0, abs(f_cur)):
-                break
-            step *= 0.5
-            if step < 1e-12:
-                raise ConvergenceError("backtracking step collapsed")
-        grad_new = moment_new - s
-        np.fill_diagonal(grad_new, 0.0)
-        move = float(np.linalg.norm(cand - theta))
-        if move > 0.0:
-            lhat = max(lhat, float(np.linalg.norm(grad_new - grad)) / move)
-        theta, logz, moment = cand, logz_new, moment_new
-        cap = 1.0 / lhat if lhat > 0.0 else 2.0
-        step = min(step * 1.25, cap, 2.0)
-    raise ConvergenceError(
-        f"ising_pmle did not reach tol {tol:.3e} in {opts.max_iter} iterations"
-    )
-
-
-def _ising_stack(xs, lam: float, opts: SolverOptions) -> list:
-    """ising_pmle on each member of a stack xs (B, p, p): [(theta, kkt,
-    iterations)] in stack order."""
-    reps = (ising_pmle(SymMatrix.wrap(x_b), lam, opts) for x_b in xs)
-    return [(rep.theta.dense(), rep.kkt_residual, rep.iterations) for rep in reps]
+    upper, _, table = _pair_table(xs.shape[-1])
+    solved = [_ising_descent(s, lam, tol, opts.max_iter, table)
+              for s, tol in zip(_gather(xs, upper), opts.tol * _scales(xs))]
+    theta = _scatter(np.array([t for t, _, _, _ in solved]), xs.shape[-1])
+    return [(theta_b, kkt, it, objective)
+            for theta_b, (_, kkt, it, objective) in zip(theta, solved)]
 
 
 # =====================================================================
@@ -1062,10 +1123,12 @@ class _Record:
     family is checked block by block, on stacks (B, n, n) of same-size
     blocks: ``share(spec, xs, thetas)`` computes once what a stack's residual
     and objective both need (for glasso the weights and the Cholesky
-    factors, for positive_invcov the factors, for Ising the enumerations),
+    factors, for positive_invcov the factors, for Ising the couplings and
+    their enumerations),
     ``piece(spec, xs, thetas, shared)`` gives each block's share of the
     objective (for glasso and positive_invcov its whole objective, so the
-    objective is the sum of the pieces; for Ising its enumeration),
+    objective is the sum of the pieces; for Ising the pair (logZ, the rest
+    of its objective)),
     ``residual(spec, xs, thetas, top, shared)`` each block's KKT residual,
     and ``objective(spec, x, theta, pieces)`` assembles the objective from
     the pieces of all blocks in partition order.
@@ -1124,14 +1187,14 @@ def _lam(spec) -> float:
     return spec.penalty.scalar_weight()
 
 
-def _ising_pieces(spec, xs, thetas) -> list:
-    """The enumeration (logz, moment) of each member of a stack (B, n, n)."""
-    return [ising_logpartition(SymMatrix.wrap(t)) for t in thetas]
-
-
-def _ising_block_kkt(spec, s, t, top, enumerated) -> list:
-    return [_ising_kkt(np.asarray(moment) - s_b, _lam(spec), t_b, top=top)
-            for s_b, t_b, (_, moment) in zip(s, t, enumerated)]
+def _ising_share(spec, xs, thetas) -> tuple:
+    """What an Ising stack's residual and pieces both need: the couplings t
+    and pair inputs s (B, m), and logZ [B] and the moment (B, m) of each
+    member, enumerated as it is alone.  ValueError as the enumeration
+    raises it."""
+    t, upper, table = _ising_couplings(thetas)
+    logz, moment = zip(*(_ising_moments(t_b, table) for t_b in t))
+    return t, _gather(xs, upper), logz, np.array(moment)
 
 
 _FAMILIES = {
@@ -1186,12 +1249,12 @@ _FAMILIES = {
     Family.ISING_PMLE: _Record(
         PenaltyKind.SYMMETRIC_L1, GroupId.DIAGONAL_CONJUGATION,
         run=lambda spec, x: ising_pmle(x, _lam(spec), spec.opts),
-        share=_ising_pieces,
-        piece=lambda spec, s, t, enumerated: enumerated,
-        residual=_ising_block_kkt,
-        objective=lambda spec, s, t, lms: _ising_objective(
-            s, _lam(spec), t, sum(logz for logz, _ in lms)),
-        stack=lambda spec, xs: _ising_stack(xs, _lam(spec), spec.opts),
+        share=_ising_share,
+        piece=lambda spec, s, t, sh: [(logz, _ising_rest(_lam(spec), s_b, t_b))
+                                      for logz, s_b, t_b in zip(sh[2], sh[1], sh[0])],
+        residual=lambda spec, s, t, top, sh: _ising_kkt(sh[3] - sh[1], _lam(spec), sh[0], top),
+        objective=lambda spec, s, t, pieces: sum(logz + rest for logz, rest in pieces),
+        stack=lambda spec, xs: [out[:3] for out in _ising_solves(xs, _lam(spec), spec.opts)],
     ),
 }
 
@@ -1210,6 +1273,22 @@ def _family(spec: EstimatorSpec) -> _Record:
     return rec
 
 
+def _linalg_failure(entry):
+    """Raise a LinAlgError that escapes ``entry(spec, x)`` as the
+    ConvergenceError of spec's family: an eigendecomposition of a block
+    that holds a NaN does not converge, and that is a failed solve, not a
+    bad argument (LinAlgError is a ValueError)."""
+    @wraps(entry)
+    def checked(spec, x):
+        try:
+            return entry(spec, x)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"{spec.family.value}: {exc}") from exc
+
+    return checked
+
+
+@_linalg_failure
 def solve(spec: EstimatorSpec, x) -> SolveReport:
     """Run the family's solver on input x and return its report."""
     rec = _family(spec)
@@ -1287,7 +1366,7 @@ def _stack_check(spec: EstimatorSpec, s, theta, groups, stacks, residual: bool =
     """KKT residual, objective and max|x| of a matrix family at a theta that
     is zero off the blocks of a partition, computed block by block from
     ``stacks``, the [(x stack, theta stack)] of its :func:`_size_groups`
-    ``groups``; only the Ising and fantope_spca objectives read p x p theta.
+    ``groups``; only the fantope_spca objective reads p x p theta.
 
     Off the blocks the condition is the screening inequality on x itself,
     scored as its excess: max(|x_ij| - lam, 0), or max(x_ij, 0) for
@@ -1338,6 +1417,7 @@ def _stack_check(spec: EstimatorSpec, s, theta, groups, stacks, residual: bool =
             rec.objective(spec, s, theta, pieces) if objective else None, top_x)
 
 
+@_linalg_failure
 def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     """Screen the input, solve each independent block, and reassemble.
 
@@ -1365,7 +1445,7 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     solver was given (:func:`_stack_check`): :func:`_separable_check` of
     the reported theta bit for bit, :func:`kkt_residual` and
     :func:`objective_at` up to rounding; ``converged`` means that residual
-    is at most ``opts.tol * (1 + max|x|)``.  fantope_spca's blocks share
+    is finite and at most ``opts.tol * (1 + max|x|)``.  fantope_spca's blocks share
     its trace budget, so it has no stack solver: it is solved on the whole
     reduced matrix and certified as one block.
     """
@@ -1413,6 +1493,6 @@ def solve_decomposed(spec: EstimatorSpec, x) -> SolveReport:
     for (_, ix), (_, t) in zip(groups, stacks):
         support[ix] = _support(t, top)
     kkt, objective, top_x = _stack_check(spec, s, theta, groups, stacks)
-    converged = kkt <= spec.opts.tol * (1.0 + top_x)
+    converged = _certifies(kkt, spec.opts.tol * (1.0 + top_x))
     return SolveReport(SymMatrix(theta), objective, kkt,  # exactly symmetric already
                        sum(st.iterations for st in stats), converged, support, tuple(stats))

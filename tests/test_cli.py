@@ -261,6 +261,34 @@ class TestBench:
             b["seconds_direct"] / b["seconds_decomposed"], rel=1e-6
         )
 
+    def test_ising_above_the_enumeration_cap(self, tmp_path, monkeypatch, capsys):
+        """At p = 24 only the decomposed path can solve planted sign data;
+        the payload says the direct solve was skipped, and an uncertified
+        decomposed solve still exits 3."""
+        out = tmp_path / "b.json"
+        argv = ["bench", "--estimator", "ising", "--p", "24", "--blocks", "2", "-o", str(out)]
+        assert main(argv) == 0
+        b = json.loads(out.read_text())
+        assert b["estimator"] == "ising" and b["solved_directly"] is False
+        assert b["seconds_direct"] is None and b["max_deviation"] is None
+        assert b["seconds_decomposed"] > 0 and b["iterations_decomposed"] > 0
+        assert "no direct solve" in capsys.readouterr().out
+
+        from suffreduce import cli
+
+        solver = cli.solve_decomposed
+        monkeypatch.setattr(cli, "solve_decomposed", lambda spec, x: dataclasses.replace(
+            solver(spec, x), converged=False))
+        assert main(argv) == 3
+        assert "decomposed ising: kkt residual" in capsys.readouterr().err
+
+    def test_ising_within_the_cap_solves_both_ways(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert main(["bench", "--estimator", "ising", "--p", "12", "--blocks", "2",
+                     "-o", str(out)]) == 0
+        b = json.loads(out.read_text())
+        assert b["solved_directly"] is True and b["max_deviation"] <= 1e-5
+
     @pytest.mark.parametrize("entry", ["solve", "solve_decomposed"])
     def test_uncertified_solve_exit_code(self, monkeypatch, capsys, entry):
         from suffreduce import cli

@@ -145,6 +145,56 @@ class TestNonFiniteNeverCertifies:
                   200, [1e-9, 1e-9])
         assert min(certified) <= 1e-9  # the first member left the stack
 
+    def test_ising_pmle_infinite_input_entry(self):
+        """An inf in x makes the tolerance inf; the residual at the start is
+        inf too, which must not certify."""
+        a = sign_instance(np.random.default_rng(0), 6).dense()
+        a[0, 1] = a[1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            try:
+                rep = ising_pmle(SymMatrix(a), 0.2, OPTS)
+            except ConvergenceError:
+                return
+        assert not rep.converged
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 11), (0, 1)])
+    def test_glasso_decomposed_infinite_weight_and_input_entry(self, entry):
+        a = random_instance(np.random.default_rng(0), 12, n_blocks=3).dense()
+        a[entry] = a[entry[::-1]] = np.inf
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, np.inf),
+                             opts=OPTS)
+        with np.errstate(invalid="ignore"):
+            try:
+                rep = solve_decomposed(spec, SymMatrix(a))
+            except ConvergenceError:
+                return
+        assert not rep.converged
+
+    def test_admm_driver_exit_needs_a_finite_residual(self):
+        from suffreduce.estimators import _admm, _logdet_prox, _soft
+
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ConvergenceError, match="in 30 iterations"):
+            _admm("glasso", s[None], np.eye(2)[None], _logdet_prox,
+                  lambda a, rho: _soft(a, 0.1 / rho),
+                  lambda xs, theta, z: (np.full(len(xs), np.inf), z), 30, [np.inf])
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_decomposed"])
+    @pytest.mark.parametrize("family", [Family.GLASSO, Family.POSITIVE_INVCOV])
+    def test_eigh_failure_is_a_convergence_error(self, family, entry):
+        """A NaN inside a block makes eigh raise LinAlgError, a ValueError
+        that the CLI would report as a usage error; it must reach the caller
+        as the family's ConvergenceError."""
+        a = random_instance(np.random.default_rng(0), 12, n_blocks=3).dense()
+        a[0, 1] = a[1, 0] = np.nan
+        penalty = (PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3) if family is Family.GLASSO
+                   else PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY))
+        run = solve if entry == "solve" else solve_decomposed
+        with pytest.raises(ConvergenceError, match=f"^{family.value}: ") as caught, \
+                np.errstate(invalid="ignore"):
+            run(EstimatorSpec(family, penalty, opts=OPTS), SymMatrix(a))
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestStackedCertificate:
     """A KKT residual on a stack (B, n, n) gives each member the residual it
@@ -796,7 +846,7 @@ def _ising_reference(theta):
 
 
 class TestIsing:
-    @pytest.mark.parametrize("p", range(1, 11))
+    @pytest.mark.parametrize("p", range(1, 13))
     @pytest.mark.parametrize("scale", [0.3, 5.0])
     def test_logpartition_matches_brute_force(self, p, scale):
         """The half enumeration against a loop over every state; couplings up
@@ -808,6 +858,22 @@ class TestIsing:
         ref_logz, ref_moment = _ising_reference(theta)
         assert abs(logz - ref_logz) <= 1e-12 * abs(ref_logz)
         assert np.max(np.abs(moment.dense() - ref_moment)) <= 1e-12 * np.max(np.abs(ref_moment))
+
+    @pytest.mark.parametrize("p", [13, 15])
+    def test_logpartition_matches_full_sign_table(self, p):
+        """The largest sizes against a sum over all 2^p sign vectors, from a
+        sign table built here with no use of the spin-flip symmetry."""
+        a = np.triu(np.random.default_rng(p).uniform(-0.5, 0.5, (p, p)), 1)
+        theta = a + a.T
+        states = 1.0 - 2.0 * ((np.arange(2 ** p)[:, None] >> np.arange(p)) & 1)
+        energy = np.einsum("si,ij,sj->s", states, theta, states)
+        weights = np.exp(energy - energy.max())
+        ref_logz = energy.max() + np.log(weights.sum())
+        ref_moment = (states * (weights / weights.sum())[:, None]).T @ states
+        logz, moment = ising_logpartition(SymMatrix.wrap(theta))
+        assert abs(logz - ref_logz) <= 1e-12 * abs(ref_logz)
+        assert np.max(np.abs(moment.dense() - ref_moment)) <= 1e-12
+        assert np.array_equal(np.diag(moment.dense()), np.ones(p))
 
     def test_logpartition_p1(self):
         logz, moment = ising_logpartition(SymMatrix.wrap(np.zeros((1, 1))))
@@ -880,6 +946,9 @@ class TestIsing:
             rep = solve(spec, x)
             assert rep.converged
             assert certificate_ok(spec, x, rep)
+            # the solver scores its own point as the independent check does
+            assert kkt_residual(spec, x, rep.theta) == rep.kkt_residual
+            assert objective_at(spec, x, rep.theta) == rep.objective
 
     def test_certificate_ignores_the_diagonal_of_x(self, rng):
         """The certificate reads only the off-diagonal moments, so a diagonal
@@ -1582,6 +1651,38 @@ class TestSizeGroups:
         scale = 1.0 + float(np.max(np.abs(x.dense())))
         assert abs(rep.kkt_residual - kkt_residual(spec, x, rep.theta)) <= 1e-12 * scale
         assert rep.objective == pytest.approx(objective_at(spec, x, rep.theta), rel=1e-12)
+
+    def test_ising_size_group_members_match_ising_pmle(self):
+        """Every member of a size group of several Ising blocks gets exactly
+        the theta and the iteration count that ising_pmle gives it alone,
+        and the stacked residual and objective pieces are the member ones."""
+        rng = np.random.default_rng(3)
+        sizes = (4, 3, 4, 2, 3, 4, 2)
+        pieces = [sign_instance(rng, n, n_blocks=1).dense() for n in sizes]
+        x = SymMatrix.wrap(block_diag(*pieces))
+        spec = EstimatorSpec(Family.ISING_PMLE, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.05),
+                             opts=SolverOptions(tol=1e-10))
+        rep = solve_decomposed(spec, x)
+        assert [len(b.indices) for b in rep.blocks] == list(sizes)
+        assert rep.converged
+        theta = rep.theta.dense()
+        start = 0
+        for piece, stat in zip(pieces, rep.blocks):
+            direct = ising_pmle(SymMatrix.wrap(piece), 0.05, spec.opts)
+            idx = slice(start, start + len(piece))
+            assert np.array_equal(theta[idx, idx], direct.theta.dense())
+            assert stat.iterations == direct.iterations > 0
+            start += len(piece)
+        rec = _FAMILIES[Family.ISING_PMLE]
+        s = x.dense()
+        top = float(np.max(np.abs(theta)))
+        for members, ix in _size_groups(reduce_input(*reduction_for(spec), x).partition):
+            assert len(members) >= 2
+            stacked_pieces, stacked = self._hooks(rec, spec, s[ix], theta[ix], top)
+            for b in range(len(members)):
+                piece, alone = self._hooks(rec, spec, s[ix][b:b + 1], theta[ix][b:b + 1], top)
+                assert stacked[b] == alone[0]
+                assert stacked_pieces[b] == piece[0]
 
 
 class TestInfiniteWeight:
