@@ -252,6 +252,8 @@ def _cmd_bench(args) -> int:
         "max_deviation": None,
         "iterations_direct": None,
         "iterations_decomposed": decomposed.iterations,
+        # the blocks certified at a closed-form start, with no iteration
+        "blocks_at_start": sum(b.iterations == 0 for b in decomposed.blocks),
     }
     reports = [("decomposed", decomposed)]
     if direct is None:

@@ -15,9 +15,12 @@ input: the dual feasible point w0 = x - clip(x, -lam, lam) (x_ii + lam_ii on
 the diagonal) gives the dual start (w0 - x) / rho and, where w0 is positive
 definite and w0^-1 has the lower objective, the primal start w0^-1, else
 diag(1/x_ii); positive_invcov takes the matching dual start alone.  A glasso
-problem whose w0^-1 has the sign pattern the KKT conditions ask of it (an
-entrywise test) is certified at w0^-1 before _admm runs, and leaves at 0
-iterations with that point when it passes; only the rest iterate.
+problem that starts at w0^-1 is certified before _admm runs at one closed-form
+point: w0^-1 itself where it has the sign pattern the KKT conditions ask of
+it (an entrywise test), else, where the graph of its edges with the sign
+the KKT conditions ask is chordal, the inverse of the maximum-determinant
+completion of w0 on that graph, built from the graph's cliques.  A problem
+whose point certifies leaves at 0 iterations with it; only the rest iterate.
 Each problem's ADMM map on (z, u) is Anderson-accelerated (type II, memory
 ``_AA_MEMORY``): the next point mixes the last map outputs so as to shrink
 the fixed-point residual, which about halves the iterations.  The memory is
@@ -76,7 +79,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .linkage import Partition
+from .linkage import Partition, chordal_cliques
 from .penalty import GroupId, PenaltyKind, PenaltySpec
 from .reductions import reduce_input, screening_partition
 from .symmat import SymMatrix, as_symmetric
@@ -572,7 +575,9 @@ def glasso(x: SymMatrix, lam, opts: SolverOptions | None = None,
     unless w0 is not positive definite or diag(1/x_ii) has the lower
     objective.  On a block whose w0^-1 meets the KKT conditions, as on an
     equicorrelated one, w0^-1 is certified and reported before any ADMM
-    iteration, and the report reads 0 iterations.
+    iteration, and the report reads 0 iterations; so is the closed form of
+    the maximum-determinant completion of w0 on a chordal graph, as on a
+    block whose thresholded graph is a tree (see _glasso_stack).
     """
     opts = opts or SolverOptions()
     s = x.dense()
@@ -587,7 +592,10 @@ def _glasso_start(s, lam_mat, d):
     (z0, w0, pos).  w0 = s - clip(s, -lam, lam) off the diagonal and s_ii +
     lam_ii on it is dual feasible (Fattahi & Sojoudi, JMLR 2019): on a
     block whose |s_ij| all exceed lam_ij and whose inverse w0^-1 has the
-    opposite signs, w0^-1 is the solution.  z0 is w0^-1 where w0 is
+    opposite signs, w0^-1 is the solution, and where only the edges of a
+    chordal graph have them, the inverse of the maximum-determinant
+    completion of w0 on that graph may be (_glasso_stack certifies both
+    before iterating).  z0 is w0^-1 where w0 is
     positive definite and that point has a lower objective than diag(1/d),
     the members pos marks, and diag(1/d) elsewhere: against the dual bound
     log det w0 + n, the start with the smaller duality gap.  The guard keeps
@@ -608,17 +616,47 @@ def _glasso_start(s, lam_mat, d):
     return np.where(pos[:, None, None], warm, _diag(1.0 / dc)), w0, pos
 
 
+def _completion_inverse(w, cliques, seps) -> np.ndarray:
+    """The inverse of the maximum-determinant completion of w's entries on a
+    chordal graph with these maximal cliques and clique-tree separators
+    (Grone, Johnson, Sa & Wolkowicz 1984): sum_C inv(w_CC) - sum_S
+    inv(w_SS), each term padded with zeros, symmetrized.  It is zero off
+    the graph, and its inverse equals w on the graph and on the diagonal.
+    The terms of one size are inverted as one stack."""
+    theta = np.zeros_like(w)
+    sizes: dict[int, tuple[list, list]] = {}
+    for sign, sets in ((1.0, cliques), (-1.0, seps)):
+        for c in sets:
+            members, signs = sizes.setdefault(len(c), ([], []))
+            members.append(c)
+            signs.append(sign)
+    for members, signs in sizes.values():
+        r = np.array(members)
+        rows, cols = r[:, :, None], r[:, None, :]
+        np.add.at(theta, (rows, cols), np.linalg.inv(w[rows, cols]) * np.array(signs)[:, None, None])
+    return (theta + theta.T) / 2.0
+
+
 def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
     """glasso on a stack of inputs s (B, p, p) that share the weight matrix
     lam_mat: [(theta, kkt, iterations)] in stack order.  With no penalty at
-    all, theta is the inverse of each input, which must certify; so a 1x1
-    input with an unpenalized diagonal gets theta = 1/x_ii at 0 iterations.
-    Otherwise the members whose start w0^-1 passes an entrywise gate are
-    certified there by _glasso_kkt, which factors w0^-1 itself; a member
-    that passes leaves at 0 iterations with theta = w0^-1 bit for bit (a
-    1x1 input with a penalized diagonal at 1 / (x_ii + lam_ii)).  The others
-    run the ADMM from the same start pair, with the iterates they have
-    there alone."""
+    all, theta is the inverse of each input, and all of them are certified
+    in one test, which raises for the first that fails; so a 1x1 input with
+    an unpenalized diagonal gets theta = 1/x_ii at 0 iterations.
+    Otherwise each member that starts at w0^-1 gets one closed-form point:
+    w0^-1 if it passes an entrywise gate, else, if the graph of the edges
+    |s_ij| > lam_ij where w0^-1 has the sign of -s_ij, together with the
+    pairs with lam_ij = 0, is chordal (linkage.chordal_cliques), the
+    inverse of the maximum-determinant completion of w0 on that graph
+    (Grone, Johnson, Sa & Wolkowicz 1984).  Its inverse equals w0 on the
+    graph and on the diagonal, which meets the KKT conditions there; off
+    the graph it is zero, and the certificate decides the rest.  The points
+    are certified in one _glasso_kkt call, which factors each point itself;
+    a member whose point certifies leaves at 0 iterations with it, bit for
+    bit (a 1x1 input with a penalized diagonal at 1 / (x_ii + lam_ii)).  A
+    gate that fails and a graph that is not chordal cost no factorization.
+    The others run the ADMM from the start pair, with the iterates they
+    have there alone."""
     d = np.diagonal(s, axis1=-2, axis2=-1)
     if np.isinf(np.diag(lam_mat)).any():
         raise NoSolutionError("an infinite diagonal weight makes every objective value infinite")
@@ -633,17 +671,31 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
         # the gate: w0^-1 meets the KKT conditions, up to rounding, where its
         # inverse w0 fits its sign pattern: the sign of -s on the edges
         # |s_ij| > lam_ij (any sign where lam_ij = 0) and zero off them, so
-        # each component of the thresholded graph is a clique.  A start that
-        # fails it costs no factorization.
+        # each component of the thresholded graph is a clique
         edge = np.abs(s) > lam_3d
-        gate = np.where(edge, (z0 * s < 0.0) | (lam_3d == 0.0), z0 == 0.0)
+        free = lam_3d == 0.0
+        agree = (z0 * s < 0.0) | free
+        gate = np.where(edge, agree, z0 == 0.0)
         gate |= np.eye(s.shape[-1], dtype=bool)
-        first = np.flatnonzero(pos & gate.all(axis=(-2, -1)))
+        gated = gate.all(axis=(-2, -1))
+        tried, points = [], []
+        for b in np.flatnonzero(pos).tolist():
+            if gated[b]:
+                tried.append(b)
+                points.append(z0[b])
+                continue
+            # else the closed form on the edges where w0^-1 has the sign of
+            # -s, and on those with lam_ij = 0, if that graph is chordal
+            cliques = chordal_cliques(edge[b] & agree[b] | free[0])
+            if cliques is not None:
+                tried.append(b)
+                points.append(_completion_inverse(w0[b], *cliques))
         out = [None] * len(s)
-        if first.size:
-            for b, r in zip(first, _glasso_kkt(s[first], lam_mat, z0[first]).tolist()):
+        if tried:
+            resid = _glasso_kkt(s[tried], lam_mat, np.stack(points)).tolist()
+            for b, point, r in zip(tried, points, resid):
                 if _certifies(r, tol[b]):
-                    out[b] = (z0[b], r, 0)
+                    out[b] = (point, r, 0)
         rest = [b for b, o in enumerate(out) if o is None]
         if rest:
             pick = slice(None) if len(rest) == len(s) else rest
@@ -670,9 +722,10 @@ def _glasso_stack(s, lam_mat, opts: SolverOptions) -> list:
     theta = (q / wv[:, None, :]) @ q.mT
     theta = (theta + theta.mT) / 2.0
     kkt = _glasso_kkt(s, lam_mat, theta)
-    for kkt_b, tol_b in zip(kkt, tol):
-        _require_certified("glasso", kkt_b, tol_b)
-    return list(zip(theta, kkt, [0] * len(s)))
+    bad = np.flatnonzero(~((kkt <= tol) & np.isfinite(kkt)))
+    if bad.size:
+        _require_certified("glasso", kkt[bad[0]], tol[bad[0]])
+    return list(zip(theta, kkt.tolist(), [0] * len(s)))
 
 
 # =====================================================================

@@ -1,5 +1,7 @@
 """Single-linkage machinery: threshold graphs, maximum-weight spanning
-forests, dendrogram cuts, and the cluster-masking operators built on them.
+forests, dendrogram cuts, and the cluster-masking operators built on them;
+also the clique tree of a chordal graph, from which glasso builds a
+closed-form start.
 
 All comparisons against a threshold are strict (``> lam``): an entry exactly
 equal to the threshold does not create an edge.
@@ -17,6 +19,7 @@ __all__ = [
     "Dendrogram",
     "Partition",
     "components",
+    "chordal_cliques",
     "threshold_components",
     "mst_kruskal",
     "cut_dendrogram",
@@ -115,6 +118,79 @@ def components(adj) -> Partition:
     ii, jj = np.divmod(np.flatnonzero(adj), p)
     upper = ii < jj
     return Partition.from_labels(_labels(p, ii[upper], jj[upper]).tolist())
+
+
+def chordal_cliques(adj) -> tuple[list, list] | None:
+    """The maximal cliques and the clique-tree separators of the graph
+    {(i, j): i != j, adj_ij}, or None if that graph is not chordal.
+
+    ``adj`` is a symmetric boolean (n, n) array; its diagonal is ignored.
+    Maximum cardinality search (Tarjan & Yannakakis 1984) numbers the
+    vertices, always next one with the most numbered neighbours (the
+    lowest index on a tie).  The graph is chordal exactly when the reverse
+    order has zero fill-in: the numbered neighbours of each vertex, less
+    the last numbered of them, u, are all neighbours of u.  That test runs
+    as each vertex is numbered, so a graph that is not chordal is rejected
+    at its first violation.  A vertex with no more numbered neighbours
+    than its predecessor had opens a new maximal clique, itself and those
+    neighbours, which are its separator from the cliques before it (none
+    when it starts a component); any other vertex joins the last clique
+    (Blair & Peyton 1993).  Each clique and separator is a sorted list of
+    vertices, and every vertex is in some clique.
+
+    Vertex sets are Python-int bitsets; ``level[c]`` holds the vertices not
+    yet numbered that have c numbered neighbours, so a numbered vertex
+    moves its neighbours up one level with one mask per level.
+    """
+    n = len(adj)
+    rows = np.packbits(np.asarray(adj, dtype=bool), axis=1, bitorder="little")
+    width = 8 * rows.shape[1]
+    whole = int.from_bytes(rows.tobytes(), "little")
+    row = (1 << width) - 1
+    nbr = [(whole >> (width * v)) & row & ~(1 << v) for v in range(n)]
+    level = [(1 << n) - 1]
+    order = []
+    numbered = 0
+    top = prev = 0
+    cliques, seps = [], []
+    for _ in range(n):
+        while not level[top]:
+            top -= 1
+        bit = level[top] & -level[top]
+        v = bit.bit_length() - 1
+        level[top] ^= bit
+        below = nbr[v] & numbered
+        if below:
+            for u in reversed(order):
+                if below >> u & 1:
+                    break
+            if below & ~nbr[u] != 1 << u:
+                return None
+        if top <= prev:
+            cliques.append(below | bit)
+            if below:
+                seps.append(below)
+        else:
+            cliques[-1] |= bit
+        prev = top
+        numbered |= bit
+        order.append(v)
+        rest = nbr[v] & ~numbered
+        if rest:
+            level.append(0)
+            for c in range(top, -1, -1):
+                moved = level[c] & rest
+                level[c] ^= moved
+                level[c + 1] |= moved
+                rest ^= moved
+                if not rest:
+                    break
+            top += 1
+
+    def members(bits):
+        return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+    return [members(c) for c in cliques], [members(s) for s in seps]
 
 
 def threshold_components(x: SymMatrix, lam: float) -> Partition:

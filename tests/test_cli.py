@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from suffreduce.cli import main
-from suffreduce.estimators import ConvergenceError
+from suffreduce.estimators import (
+    ConvergenceError,
+    EstimatorSpec,
+    Family,
+    SolverOptions,
+    solve_decomposed,
+)
 from suffreduce.io import read_matrix_csv, write_matrix_csv
+from suffreduce.penalty import PenaltyKind, PenaltySpec
 
 
 def write_lines(path, text):
@@ -179,13 +186,16 @@ class TestSolve:
         assert main(["solve", matrix3, "--estimator", "sparse_cov", "--eps", "0.1",
                      "--lam", "inf", "-o", str(tmp_path / "e.csv")]) == 3
 
-    def test_nonconvergence_exit_code(self, tmp_path, rng):
-        from suffreduce.instances import random_instance
-
+    def test_nonconvergence_exit_code(self, tmp_path):
+        # at lam 0.2 the thresholded graph is the 4-cycle 0-1-2-3, which is not
+        # chordal, so the solve has no closed form and must iterate (8 times)
         src = tmp_path / "x.csv"
-        write_matrix_csv(src, random_instance(rng, 10).dense())
-        assert main(["solve", str(src), "--estimator", "glasso", "--lam", "0.2",
-                     "--max-iter", "2", "-o", str(tmp_path / "e.csv")]) == 3
+        write_matrix_csv(src, np.array([[1.0, 0.4, 0.1, 0.4], [0.4, 1.0, 0.4, 0.1],
+                                        [0.1, 0.4, 1.0, 0.4], [0.4, 0.1, 0.4, 1.0]]))
+        args = ["solve", str(src), "--estimator", "glasso", "--lam", "0.2",
+                "-o", str(tmp_path / "e.csv")]
+        assert main(args + ["--max-iter", "2"]) == 3
+        assert main(args + ["--max-iter", "8"]) == 0
 
     def test_uncertified_closed_form_exit_code(self, tmp_path, ill_conditioned):
         src = tmp_path / "ill.csv"
@@ -260,6 +270,24 @@ class TestBench:
         assert b["speedup"] == pytest.approx(
             b["seconds_direct"] / b["seconds_decomposed"], rel=1e-6
         )
+
+    def test_blocks_at_start(self, tmp_path):
+        """The payload counts the decomposed blocks that left at 0
+        iterations, as the decomposed solve of the same planted input
+        reports them; at lam 0.3 most blocks do, and the rest iterate."""
+        from suffreduce.instances import random_instance
+
+        out = tmp_path / "b.json"
+        assert main(["bench", "--p", "50", "--blocks", "5", "--lam", "0.3",
+                     "-o", str(out)]) == 0
+        b = json.loads(out.read_text())
+        x = random_instance(np.random.default_rng(0), 50, n_blocks=5, within=0.6, cross=0.0)
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.3),
+                             opts=SolverOptions(tol=1e-7))
+        rep = solve_decomposed(spec, x)
+        at_start = sum(blk.iterations == 0 for blk in rep.blocks)
+        assert b["blocks_at_start"] == at_start == 4 < len(rep.blocks)
+        assert b["iterations_decomposed"] == rep.iterations > 0
 
     def test_ising_above_the_enumeration_cap(self, tmp_path, monkeypatch, capsys):
         """At p = 24 only the decomposed path can solve planted sign data;

@@ -18,6 +18,7 @@ from suffreduce.estimators import (
     Family,
     NoSolutionError,
     SolverOptions,
+    _completion_inverse,
     _fantope_project_dense,
     _glasso_start,
     _separable_check,
@@ -38,7 +39,7 @@ from suffreduce.estimators import (
     sparse_cov,
 )
 from suffreduce.instances import random_instance, sign_instance
-from suffreduce.linkage import Partition, components, threshold_components
+from suffreduce.linkage import Partition, chordal_cliques, components, threshold_components
 from suffreduce.penalty import GroupId, PenaltyKind, PenaltySpec
 from suffreduce.reductions import reduce_input
 from suffreduce.symmat import SymMatrix
@@ -514,29 +515,107 @@ class TestDualFeasibleStart:
         assert rep.converged and [b.iterations for b in rep.blocks] == [0, 0, 0]
         assert calls == []
 
-    # connected but not a clique of the thresholded graph at lam 0.2
+    # connected but not a clique of the thresholded graph at lam 0.2: a path
     PATH = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.5], [0.1, 0.5, 1.0]])
     # a clique at lam 0.1 whose w0^-1 has the sign of x, not of -x, at (0, 2)
     SAME_SIGN = np.array([[1.0, 0.9, 0.5], [0.9, 1.0, 0.9], [0.5, 0.9, 1.0]])
+    # the 4-cycle 0-1-2-3 at lam 0.2, with w0^-1 negative on the cycle: its
+    # sign-consistent graph is the cycle, which is not chordal
+    CYCLE = np.array([[1.0, 0.4, 0.1, 0.4], [0.4, 1.0, 0.4, 0.1],
+                      [0.1, 0.4, 1.0, 0.4], [0.4, 0.1, 0.4, 1.0]])
+
+    def test_tree_is_solved_by_its_closed_form(self):
+        """PATH fails the entrywise gate (w0^-1 is nonzero at (0, 2)), but its
+        sign-consistent graph is the path 0-1-2, a tree: the closed form
+        inv(w0_01) + inv(w0_12) - 1 / w0_11, each term padded with zeros, is
+        certified and reported at 0 iterations."""
+        lam_mat = 0.2 * (1.0 - np.eye(3))
+        z0, w0, pos = _glasso_start(self.PATH[None], lam_mat, np.diag(self.PATH)[None])
+        assert pos[0] and z0[0, 0, 2] != 0.0
+        w0 = w0[0]
+        tree = np.zeros((3, 3))
+        for edge in ([0, 1], [1, 2]):
+            tree[np.ix_(edge, edge)] += np.linalg.inv(w0[np.ix_(edge, edge)])
+        tree[1, 1] -= 1.0 / w0[1, 1]
+        rep = self._certified(self.PATH, 0.2)
+        assert rep.iterations == 0
+        theta = rep.theta.dense()
+        assert theta[0, 2] == theta[2, 0] == 0.0
+        assert np.max(np.abs(theta - tree)) <= 1e-12
+        # its inverse is w0 on the path and on the diagonal
+        inv = np.linalg.inv(theta)
+        on = tree != 0.0
+        assert np.max(np.abs(inv[on] - w0[on])) <= 1e-12
+
+    def test_completion_inverse_on_random_chordal_graphs(self):
+        """On random SPD w and random chordal graphs, the closed form is zero
+        off the graph and its inverse equals w on the graph and on the
+        diagonal."""
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(2, 13))
+            adj = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.95), 1)
+            adj |= adj.T
+            cliques = chordal_cliques(adj)
+            if cliques is None:
+                continue
+            a = rng.standard_normal((n, n + 3))
+            w = a @ a.T / (n + 3) + 0.1 * np.eye(n)
+            theta = _completion_inverse(w, *cliques)
+            on = adj | np.eye(n, dtype=bool)
+            assert np.array_equal(theta, theta.T)
+            assert np.all(theta[~on] == 0.0)
+            inv = np.linalg.inv(theta)
+            assert np.max(np.abs(inv[on] - w[on])) <= 1e-10 * np.max(np.abs(w))
+            checked += 1
+
+    def test_gate_chordal_and_iterating_members_in_one_stack(self):
+        """One stack of three 4x4 blocks at lam 0.2: an equicorrelated block
+        certified at w0^-1 by the gate, a path whose w0^-1 fails the gate but
+        whose closed form on the path certifies, and the 4-cycle, which
+        iterates.  Each gets the theta bytes and iteration count it gets
+        alone, and the path gets the closed form bit for bit."""
+        path = np.eye(4)
+        path[[0, 1, 2], [1, 2, 3]] = path[[1, 2, 3], [0, 1, 2]] = [0.4, 0.45, 0.4]
+        path[0, 2] = path[2, 0] = 0.1
+        path[1, 3] = path[3, 1] = -0.05
+        path[0, 3] = path[3, 0] = 0.15
+        blocks = [self._equi(4), path, self.CYCLE]
+        lam_mat = 0.2 * (1.0 - np.eye(4))
+        z0, w0, pos = _glasso_start(np.stack(blocks), lam_mat, np.stack([np.diag(b) for b in blocks]))
+        assert pos.all() and z0[1, 0, 3] != 0.0  # the path fails the gate
+        spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, 0.2), opts=OPTS)
+        rep = solve_decomposed(spec, SymMatrix.wrap(block_diag(*blocks)))
+        assert rep.converged and [b.iterations for b in rep.blocks] == [0, 0, 8]
+        theta = rep.theta.dense()
+        for stat, b in zip(rep.blocks, blocks):
+            alone = solve(spec, b)
+            assert stat.iterations == alone.iterations
+            ix = np.ix_(stat.indices, stat.indices)
+            assert theta[ix].tobytes() == alone.theta.dense().tobytes()
+        closed = _completion_inverse(w0[1], [[0, 1], [1, 2], [2, 3]], [[1], [2]])
+        assert theta[4:8, 4:8].tobytes() == closed.tobytes()
 
     # iterations: what each input takes with the ADMM run from its start;
     # INDEFINITE is a clique at lam 0.4 that starts at diag(1/d)
     @pytest.mark.parametrize("case, lam, tol, iterations", [
-        ("not_a_clique", 0.2, 1e-9, 9),
+        ("not_chordal", 0.2, 1e-9, 8),
         ("cold_start", 0.4, 1e-9, 50),
         ("same_sign", 0.1, 1e-9, 38),
         ("tol_below_rounding", 0.5, 2e-16, 194),
     ])
     def test_start_that_fails_runs_the_admm_from_it(self, case, lam, tol, iterations,
                                                     monkeypatch):
-        """A member that fails the entrywise gate takes no certificate before
-        the ADMM; one that passes it but whose start misses a tolerance finer
-        than w0^-1's rounding pays one.  Both run the ADMM from the start pair
-        (w0^-1 or diag(1/d), (w0 - x) / rho)."""
+        """A member that fails the entrywise gate and whose sign-consistent
+        graph is not chordal takes no certificate before the ADMM; one that
+        passes the gate, or whose graph is chordal, but whose closed-form
+        point misses the tolerance pays one.  All run the ADMM from the start
+        pair (w0^-1 or diag(1/d), (w0 - x) / rho)."""
         import suffreduce.estimators as est
 
-        s = {"not_a_clique": self.PATH, "cold_start": self.INDEFINITE, "same_sign": self.SAME_SIGN,
-             "tol_below_rounding": self._equi(3)}[case]
+        s = {"not_chordal": self.CYCLE, "cold_start": self.INDEFINITE,
+             "same_sign": self.SAME_SIGN, "tol_below_rounding": self._equi(3)}[case]
         events = []
         admm, kkt = est._admm, est._glasso_kkt
 
@@ -545,7 +624,7 @@ class TestDualFeasibleStart:
             return admm(name, x, z0, *args, u0=u0)
 
         def spy_kkt(*args, **kwargs):
-            events.append(("kkt",))
+            events.append(("kkt", args[2].tobytes()))
             return kkt(*args, **kwargs)
 
         monkeypatch.setattr(est, "_admm", spy_admm)
@@ -557,7 +636,13 @@ class TestDualFeasibleStart:
         z0, w0, _ = _glasso_start(s[None], lam_mat, np.diag(s)[None])
         admm_at = [e[0] for e in events].index("admm")
         assert events[admm_at][1:] == (z0.tobytes(), ((w0 - s) / _RHO).tobytes())
-        assert admm_at == (1 if case == "tol_below_rounding" else 0)
+        assert admm_at == (1 if case in ("same_sign", "tol_below_rounding") else 0)
+        if case == "same_sign":
+            # the one certificate is at the closed form on the path 0-1-2,
+            # the clique less the edge (0, 2) where w0^-1 has the sign of x
+            assert z0[0, 0, 2] > 0.0
+            path = _completion_inverse(w0[0], [[0, 1], [1, 2]], [[1]])
+            assert events[0] == ("kkt", path[None].tobytes())
 
 
 class TestClosedForms:
@@ -606,6 +691,27 @@ class TestGlasso:
         rep = glasso(x, 0.0, SolverOptions(tol=1e-6))
         assert rep.converged and rep.iterations == 0
         assert rep.kkt_residual <= 1e-6 * (1.0 + np.max(np.abs(ill_conditioned)))
+
+    def test_unpenalized_stack_raises_for_its_first_failing_member(self, ill_conditioned):
+        """With no penalty a stack certifies all its closed-form inverses at
+        once; the error names the first member that fails, with the message
+        that member gives alone."""
+        from suffreduce.estimators import _glasso_stack
+
+        good = np.eye(6) + 0.1 * np.ones((6, 6))
+        zero = np.zeros((6, 6))
+        opts = SolverOptions(tol=1e-9)
+        with pytest.raises(ConvergenceError) as alone:
+            _glasso_stack(ill_conditioned[None], zero, opts)
+        for stack in ([good, ill_conditioned], [good, ill_conditioned, 2.0 * ill_conditioned]):
+            with pytest.raises(ConvergenceError) as stacked:
+                _glasso_stack(np.stack(stack), zero, opts)
+            assert str(stacked.value) == str(alone.value)
+        solved = _glasso_stack(np.stack([good, 2.0 * good]), zero, opts)
+        assert [it for _, _, it in solved] == [0, 0]
+        for (theta, kkt, _), x in zip(solved, (good, 2.0 * good)):
+            assert kkt <= opts.tol * (1.0 + np.max(np.abs(x)))
+            assert np.allclose(theta @ x, np.eye(6), atol=1e-12)
 
     def test_matrix_weights(self):
         lam = np.array([[0.0, 0.95], [0.95, 0.0]])
@@ -1022,20 +1128,27 @@ class TestSolveDispatcher:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.ENTRY_POINTS[entry](spec, x)
 
-    @pytest.mark.parametrize("weights", ["matrix", "scalar"])
-    def test_glasso_penalized_diagonal_check_matches_report(self, weights):
+    # weights: the seed of a random weight matrix, or None for the scalar
+    # 0.2; at_start: whether the solve is certified before any iteration
+    @pytest.mark.parametrize("weights, at_start", [
+        ("matrix", True), ("iterating_matrix", False), ("scalar", True),
+    ])
+    def test_glasso_penalized_diagonal_check_matches_report(self, weights, at_start):
         """kkt_residual and objective_at of a glasso spec with a penalized
-        diagonal reproduce the solver's own certificate and objective."""
+        diagonal reproduce the solver's own certificate and objective, at a
+        closed-form start and at an ADMM point."""
         x = random_instance(np.random.default_rng(4), 8)
         lam = 0.2
-        if weights == "matrix":
-            w = np.abs(np.random.default_rng(5).standard_normal((8, 8)))
+        if weights != "scalar":
+            seed = {"matrix": 5, "iterating_matrix": 7}[weights]
+            w = np.abs(np.random.default_rng(seed).standard_normal((8, 8)))
             lam = 0.2 * (w + w.T)
         spec = EstimatorSpec(Family.GLASSO, PenaltySpec(PenaltyKind.SYMMETRIC_L1, lam),
                              penalize_diagonal=True, opts=OPTS)
         rep = solve(spec, x)
-        # with scalar weights this input is solved by its start w0^-1
-        assert rep.converged and (rep.iterations == 0) == (weights == "scalar")
+        # with scalar weights this input is solved by its start w0^-1, with
+        # the weights of seed 5 by the closed form on a chordal graph
+        assert rep.converged and (rep.iterations == 0) == at_start
         assert kkt_residual(spec, x, rep.theta) == rep.kkt_residual
         assert objective_at(spec, x, rep.theta) == rep.objective
 
@@ -1067,7 +1180,8 @@ class TestSolveDispatcher:
 class TestConvergedMeansCertified:
     """converged=True means that the independent certificate at the reported
     point is within tol * (1 + max|x|), through solve and solve_decomposed.
-    fantope_spca still stops on its ADMM residuals and is not checked."""
+    fantope_spca still stops on its ADMM residuals and is not checked here;
+    the duality-gap certificate of ROADMAP item 1 will add it."""
 
     @staticmethod
     def _specs(x):
@@ -1092,6 +1206,27 @@ class TestConvergedMeansCertified:
         for x in battery[::2]:
             for spec in self._specs(x):
                 self._check(spec, x, way)
+
+    @pytest.mark.parametrize("way", [solve, solve_decomposed])
+    def test_planted_lambdas(self, way):
+        """glasso and sparse_cov at the eight lambdas of the planted benchmark
+        path, on a p = 200 input with ten blocks: where a solve reports
+        converged, the certificate holds; a ConvergenceError is a failed
+        solve, not a false certificate."""
+        x = random_instance(np.random.default_rng(20240817), 200, n_blocks=10,
+                            within=0.6, cross=0.05)
+        scale = 1.0 + float(np.max(np.abs(x.dense())))
+        opts = SolverOptions(tol=1e-7)
+        for lam in np.linspace(0.30, 0.66, 8):
+            l1 = PenaltySpec(PenaltyKind.SYMMETRIC_L1, float(lam))
+            for spec in (EstimatorSpec(Family.GLASSO, l1, opts=opts),
+                         EstimatorSpec(Family.SPARSE_COV, l1, eps=0.01, opts=opts)):
+                try:
+                    rep = way(spec, x)
+                except ConvergenceError:
+                    continue
+                if rep.converged:
+                    assert kkt_residual(spec, x, rep.theta) <= opts.tol * scale
 
     @pytest.mark.parametrize("way", [solve, solve_decomposed])
     def test_ising(self, way):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from suffreduce.instances import random_instance
 from suffreduce.linkage import (
     Dendrogram,
     Partition,
+    chordal_cliques,
     cluster_matrix,
     components,
     cut_dendrogram,
@@ -392,3 +395,97 @@ class TestBinaryUltrametric:
         ultra = is_binary_ultrametric(SymMatrix.wrap(b))
         psd = np.linalg.eigvalsh(b)[0] >= -1e-10
         assert ultra == psd
+
+
+def chordal_by_elimination(adj) -> bool:
+    """Reference: a graph is chordal exactly when removing simplicial
+    vertices (whose neighbours form a clique) one at a time empties it."""
+    alive = set(range(len(adj)))
+    while alive:
+        for v in sorted(alive):
+            nb = [w for w in alive if w != v and adj[v, w]]
+            if all(adj[a, b] for a, b in itertools.combinations(nb, 2)):
+                alive.remove(v)
+                break
+        else:
+            return False
+    return True
+
+
+def maximal_cliques_by_search(adj) -> list:
+    """Reference: every vertex set that is a clique and lies in no larger one."""
+    n = len(adj)
+    found = []
+    for size in range(n, 0, -1):
+        for c in itertools.combinations(range(n), size):
+            if all(adj[a, b] for a, b in itertools.combinations(c, 2)) and \
+                    not any(set(c) <= set(d) for d in found):
+                found.append(c)
+    return sorted(map(list, found))
+
+
+def graph_from_mask(n: int, mask: int) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        adj[i, j] = adj[j, i] = bool(mask >> k & 1)
+    return adj
+
+
+class TestChordalCliques:
+    def _check_tree(self, adj, cliques, seps):
+        """Every clique is a clique of adj, every edge and vertex lies in a
+        clique, and the clique tree's sizes add up: sum |C| - sum |S| = n."""
+        n = len(adj)
+        for c in cliques:
+            assert c == sorted(c)
+            assert all(adj[a, b] for a, b in itertools.combinations(c, 2))
+        covered = np.eye(n, dtype=bool)
+        for c in cliques:
+            covered[np.ix_(c, c)] = True
+        assert np.array_equal(covered | np.eye(n, dtype=bool), adj | np.eye(n, dtype=bool))
+        assert sum(map(len, cliques)) - sum(map(len, seps)) == n
+        assert all(s and any(set(s) < set(c) for c in cliques) for s in seps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_graph(self, n):
+        """Recognition and maximal cliques on every graph with n vertices."""
+        for mask in range(2 ** (n * (n - 1) // 2)):
+            adj = graph_from_mask(n, mask)
+            got = chordal_cliques(adj)
+            assert (got is not None) == chordal_by_elimination(adj)
+            if got is not None:
+                assert sorted(got[0]) == maximal_cliques_by_search(adj)
+                self._check_tree(adj, *got)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        kinds = {True: 0, False: 0}
+        for _ in range(400):
+            n = int(rng.integers(6, 13))
+            adj = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.95), 1)
+            adj |= adj.T
+            got = chordal_cliques(adj)
+            assert (got is not None) == chordal_by_elimination(adj)
+            kinds[got is not None] += 1
+            if got is not None:
+                self._check_tree(adj, *got)
+        assert min(kinds.values()) >= 40  # both answers are exercised
+
+    def test_diagonal_is_ignored(self):
+        path = graph_from_mask(3, 0b101)  # edges (0, 1) and (1, 2)
+        looped = path | np.eye(3, dtype=bool)
+        assert chordal_cliques(path) == chordal_cliques(looped) == ([[0, 1], [1, 2]], [[1]])
+
+    def test_components_have_empty_separators_left_out(self):
+        adj = np.zeros((4, 4), dtype=bool)
+        adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
+        assert chordal_cliques(adj) == ([[0, 1], [2, 3]], [])
+        assert chordal_cliques(np.zeros((3, 3), dtype=bool)) == ([[0], [1], [2]], [])
+
+    def test_cycle_is_rejected(self):
+        cycle = np.zeros((4, 4), dtype=bool)
+        for i in range(4):
+            cycle[i, (i + 1) % 4] = cycle[(i + 1) % 4, i] = True
+        assert chordal_cliques(cycle) is None
+        cycle[0, 2] = cycle[2, 0] = True  # a chord makes it two triangles
+        assert chordal_cliques(cycle) == ([[0, 1, 2], [0, 2, 3]], [[0, 2]])
