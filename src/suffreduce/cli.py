@@ -23,7 +23,7 @@ from .estimators import (
     solve,
     solve_decomposed,
 )
-from .instances import random_instance, sign_instance
+from .instances import block_sizes, random_instance, sign_instance
 from .io import read_matrix_csv, read_votes_csv, write_json, write_matrix_csv
 from .linkage import cluster_matrix, cut_dendrogram, mst_kruskal
 from .penalty import GroupId, PenaltyKind, PenaltySpec
@@ -97,9 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-o", "--output", default=None, help="output summary json")
 
     p_bench = sub.add_parser("bench", help="direct versus decomposed wall time")
-    p_bench.add_argument("--estimator", default="glasso", choices=("glasso", "ising"),
+    p_bench.add_argument("--estimator", default="glasso",
+                         choices=("glasso", "ising", "positive_invcov"),
                          help="ising plants sign data and solves directly only at p <= "
-                              f"{ISING_MAX_P}")
+                              f"{ISING_MAX_P}; positive_invcov makes the off-block entries "
+                              "nonpositive and ignores --lam")
     p_bench.add_argument("--p", type=int, default=200)
     p_bench.add_argument("--blocks", type=int, default=10)
     p_bench.add_argument("--lam", type=float, default=0.3)
@@ -227,11 +229,11 @@ def _cmd_bench(args) -> int:
         x = sign_instance(rng, args.p, n_obs=2000, n_blocks=args.blocks, flip_prob=0.15)
     else:
         x = random_instance(rng, args.p, n_blocks=args.blocks, within=0.6, cross=0.0)
-    spec = EstimatorSpec(
-        family,
-        PenaltySpec(PenaltyKind.SYMMETRIC_L1, args.lam),
-        opts=SolverOptions(tol=1e-7),
-    )
+    if family is Family.POSITIVE_INVCOV:
+        # nonpositive off-block entries, so that screening finds the planted blocks
+        labels = np.repeat(np.arange(args.blocks), block_sizes(args.p, args.blocks))
+        x = SymMatrix.wrap(np.where(labels[:, None] == labels, x.dense(), -np.abs(x.dense())))
+    spec = EstimatorSpec(family, _penalty_for(family, args.lam), opts=SolverOptions(tol=1e-7))
     # the Ising enumeration of the whole input is capped; its blocks are not
     solve_direct = family is not Family.ISING_PMLE or args.p <= ISING_MAX_P
     t0 = time.perf_counter()
@@ -243,7 +245,7 @@ def _cmd_bench(args) -> int:
         "estimator": args.estimator,
         "p": args.p,
         "blocks": args.blocks,
-        "lam": args.lam,
+        "lam": None if family is Family.POSITIVE_INVCOV else args.lam,
         "seed": args.seed,
         "solved_directly": solve_direct,
         "seconds_direct": None,

@@ -29,6 +29,12 @@ problem's rho moves or its fixed-point residual grows.  The extrapolated
 point is only where the map is evaluated next: the certificate, the residual
 norms and the reported point always come from a map output (the prox_g
 output z, or theta for sparse_cov), so exact zeros and sign constraints hold.
+positive_invcov polishes z before each certificate: damped Newton on the
+likelihood over z's pattern (its diagonal and its negative entries), each
+step by preconditioned conjugate gradients on Hessian-vector products.  The
+polished point keeps z's exact zeros by construction, and it is reported
+only if the certificate, which also scores a positive off-diagonal entry,
+passes it; else z is certified and the ADMM goes on.
 Convergence is declared only when an independently recomputed KKT residual
 at the reported point is finite and at most ``opts.tol * (1 + max|input|)``
 (an infinite input makes that bound inf, which an inf residual would meet);
@@ -289,10 +295,14 @@ def _admm(name, x, z0, prox_f, prox_g, certify, max_iter: int, tol, u0=None):
 
     ``certify(xs, thetas, zs)`` takes the stacks (D, n, n) of the problems
     due for a certificate and returns their residuals (D,) and reported
-    points (D, n, n), computed at a map output, never at an Anderson point,
-    so a reported point keeps the exact zeros and sign constraints of
-    prox_g.  It is called at most once per iteration, on every problem
-    that is due.  A problem is due every ``_CHECK_EVERY`` iterations, at
+    points (D, n, n), each residual computed at its reported point.  A
+    reported point is a map output or a point derived from one, never an
+    Anderson point: glasso and sparse_cov report a map output, which keeps
+    the exact zeros and sign constraints of prox_g; positive_invcov may
+    report a point polished from z, whose zeros hold by construction and
+    whose sign constraint holds through its certificate.  It is called at
+    most once per iteration, on every problem that is due.  A problem is
+    due every ``_CHECK_EVERY`` iterations, at
     the last iteration, and, at most once in each window of ``_CHECK_EVERY``
     iterations, at the first iteration whose primal and dual residual norms
     |theta - z'|_F and rho |z' - z|_F are both <= tol (sec. 3.3.1).  A
@@ -939,22 +949,102 @@ def _sparse_cov_stack(s, lam: float, eps: float, opts: SolverOptions) -> list:
 # sign-constrained inverse covariance
 # =====================================================================
 
+_POLISH_NEWTON = 8  # Newton steps a positive_invcov polish takes at most
+
+
 @_certificate
 def _positive_invcov_kkt(s, z, top=None, factor=None):
     """KKT residual at z, for one matrix or each member of a stack (..., n, n):
-    inf where z is not positive definite.  ``factor``: _cholesky(z), if known."""
+    inf where z is not positive definite.  ``factor``: _cholesky(z), if known.
+    Off the diagonal it also scores the primal excess max(z_ij, 0)."""
     pos, inv = _inverse(z, factor)
     e = inv - s
     # |e| on the diagonal and the off-diagonal support, else the sign excess
-    free = np.eye(z.shape[-1], dtype=bool) | _support(z, top)
-    r = np.where(free, np.abs(e), np.maximum(-e, 0.0))
+    eye = np.eye(z.shape[-1], dtype=bool)
+    r = np.where(eye | _support(z, top), np.abs(e), np.maximum(-e, 0.0))
+    # r >= 0, so this adds max(z_ij, 0) off the diagonal
+    r = np.maximum(r, np.where(eye, 0.0, z))
     return np.where(pos, np.max(r, axis=(-2, -1)), np.inf)[()]
 
 
 def _positive_invcov_objectives(s, z, factor=None) -> np.ndarray:
     """The objective of each member of a stack (B, n, n); inf where z is not
-    positive definite.  ``factor``: _cholesky(z), if known."""
-    return _logdet_objectives(z, np.sum(s * z, axis=(-2, -1)), factor)
+    positive definite or has a positive off-diagonal entry.  ``factor``:
+    _cholesky(z), if known."""
+    infeasible = np.any((z > 0.0) & ~np.eye(z.shape[-1], dtype=bool), axis=(-2, -1))
+    return np.where(infeasible, np.inf,
+                    _logdet_objectives(z, np.sum(s * z, axis=(-2, -1)), factor))
+
+
+def _newton_cg(sigma, grad, on, target):
+    """The Newton step of -log det + <x, .> restricted to the pattern ``on``:
+    the symmetric step on the pattern that solves P(sigma step sigma) =
+    -grad, P the restriction to the pattern and sigma the inverse of the
+    current point, by conjugate gradients preconditioned with the diagonal
+    of that operator, sigma_ii sigma_jj + sigma_ij^2 (sigma_ii^2 on the
+    diagonal).  It stops at the first residual with max|.| <= target, or
+    after as many steps as the pattern has free entries."""
+    d = np.diagonal(sigma)
+    precond = np.outer(d, d) + sigma * sigma
+    np.fill_diagonal(precond, d * d)
+    step = np.zeros_like(sigma)
+    r = -grad
+    y = r / precond
+    p = y
+    ry = float(np.vdot(r, y))
+    for _ in range((np.count_nonzero(on) + len(on)) // 2):
+        hp = np.where(on, sigma @ p @ sigma, 0.0)
+        alpha = ry / float(np.vdot(p, hp))
+        step += alpha * p
+        r -= alpha * hp
+        if _absmax(r) <= target:
+            break
+        y = r / precond
+        ry, ry_old = float(np.vdot(r, y)), ry
+        p = y + (ry / ry_old) * p
+    return (step + step.T) / 2.0
+
+
+def _positive_invcov_polish(s, z, tol):
+    """A Newton polish of the ADMM point z for one input s: the minimizer of
+    -log det + <s, .> over the matrices with z's pattern, its diagonal and
+    the off-diagonal entries with z_ij < 0, every other entry exactly 0, by
+    damped Newton from z (OSQP's solution polishing, Stellato et al. 2020).
+    Each step is :func:`_newton_cg`'s, scaled by Armijo backtracking that
+    keeps the point positive definite; it stops once the gradient on the
+    pattern is at most tol in every entry, after _POLISH_NEWTON steps, or
+    as None when z is not positive definite or a line search fails.  The
+    point may leave the sign constraint; the certificate decides."""
+    on = z < 0.0
+    np.fill_diagonal(on, True)
+    pos, low = _cholesky(z)
+    if not pos:
+        return None
+    omega, f = z, float(np.vdot(s, z) - _logdets(low))
+    for _ in range(_POLISH_NEWTON):
+        _, sigma = _inverse(omega, (pos, low))
+        grad = np.where(on, s - sigma, 0.0)
+        gmax = _absmax(grad)
+        if gmax <= tol:
+            break
+        # the forcing term min(0.1, gmax) makes the steps superlinear; below
+        # tol / 10 the certificate cannot tell
+        step = _newton_cg(sigma, grad, on, max(min(0.1, gmax) * gmax, 0.1 * tol))
+        slope = float(np.vdot(grad, step))
+        t = 1.0
+        while True:
+            trial = omega + t * step
+            pos, low = _cholesky(trial)
+            if pos:
+                f_trial = float(np.vdot(s, trial) - _logdets(low))
+                # 1e-13 |f|: near the minimum f moves at rounding level
+                if f_trial <= f + 1e-4 * t * slope + 1e-13 * abs(f):
+                    break
+            t *= 0.5
+            if t < 1e-6:
+                return None
+        omega, f = trial, f_trial
+    return omega
 
 
 def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveReport:
@@ -963,7 +1053,11 @@ def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveRep
     Minimizes -log det(omega) + <x, omega> subject to omega_ij <= 0 for
     i != j (diagonal free).  Same log-det proximal ADMM as glasso with the
     soft threshold replaced by clipping positive off-diagonal entries to
-    zero, so the constraint holds exactly on the reported iterate.
+    zero.  At each certificate the clipped iterate z is polished (see
+    _positive_invcov_polish): Newton on z's pattern, zero wherever z is.
+    The polished point is reported if it certifies, else z, on which the
+    constraint holds exactly; the certificate scores a positive
+    off-diagonal entry, so a reported point that certifies is feasible.
     """
     opts = opts or SolverOptions()
     s = x.dense()
@@ -974,18 +1068,35 @@ def positive_invcov(x: SymMatrix, opts: SolverOptions | None = None) -> SolveRep
 
 def _positive_invcov_stack(s, opts: SolverOptions) -> list:
     """positive_invcov on a stack of inputs s (B, p, p): [(omega, kkt,
-    iterations)] in stack order."""
+    iterations)] in stack order.  The certificate callback polishes each
+    due member's z alone and reports the polished point where it
+    certifies, else z with its own residual, as it reads alone."""
     d = np.diagonal(s, axis1=-2, axis2=-1)
     if np.any(d <= 0.0):
         raise NoSolutionError("input diagonal must be strictly positive")
     off_mask = ~np.eye(s.shape[-1], dtype=bool)[None]  # (1, p, p), as in _glasso_stack
+
+    def certify(xs, theta, z):
+        # each member is polished alone, so it gets the bits it gets alone
+        tol = opts.tol * _scales(xs)
+        polished = [_positive_invcov_polish(x_b, z_b, tol_b) for x_b, z_b, tol_b in zip(xs, z, tol)]
+        points = np.stack([z_b if p_b is None else p_b for z_b, p_b in zip(z, polished)])
+        resid = _positive_invcov_kkt(xs, points)
+        # a polished point that fails gives way to z, scored as it is alone
+        back = [k for k, p_b in enumerate(polished)
+                if p_b is not None and not _certifies(resid[k], tol[k])]
+        if back:
+            resid[back] = _positive_invcov_kkt(xs[back], z[back])
+            points[back] = z[back]
+        return resid, points
+
     return _admm(
         "positive_invcov",
         s,
         _diag(1.0 / d),
         _logdet_prox,
         lambda a, rho: np.where(off_mask, np.minimum(a, 0.0), a),
-        lambda xs, theta, z: (_positive_invcov_kkt(xs, z), z),
+        certify,
         opts.max_iter,
         opts.tol * _scales(s),
         # the dual of the dual feasible point s + max(-s, 0) off the diagonal

@@ -19,19 +19,30 @@ def ill_conditioned():
     return (s + s.T) / 2.0
 
 
-@pytest.fixture(scope="session")
-def battery():
-    """50 seeded instances, sizes cycling 10/20/30, varied block counts.
-
-    Shared across the acceptance tests so the screening, sufficiency, and
-    containment checks all see the same inputs.
-    """
-    gen = np.random.default_rng(20240817)
+def _battery(seed, count=50):
+    """count seeded instances, sizes cycling 10/20/30, varied block counts."""
+    gen = np.random.default_rng(seed)
     sizes = [10, 20, 30]
     out = []
-    for i in range(50):
+    for i in range(count):
         p = sizes[i % 3]
         n_blocks = int(gen.integers(1, 5))
         cross = float(gen.choice([0.0, 0.05, 0.1]))
         out.append(random_instance(gen, p, n_blocks=n_blocks, cross=cross))
     return out
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """The 50 battery instances at seed 20240817.
+
+    Shared across the acceptance tests so the screening, sufficiency, and
+    containment checks all see the same inputs.
+    """
+    return _battery(20240817)
+
+
+@pytest.fixture(scope="session")
+def make_battery():
+    """The battery generator, (seed, count) -> instances, for other seeds."""
+    return _battery

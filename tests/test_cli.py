@@ -197,6 +197,17 @@ class TestSolve:
         assert main(args + ["--max-iter", "2"]) == 3
         assert main(args + ["--max-iter", "8"]) == 0
 
+    def test_failed_polish_exit_code(self, tmp_path, battery):
+        # positive_invcov on battery input 14: the Newton polish of its first
+        # certificate, at iteration 25, is not certified, so the solve needs
+        # the ADMM's next check, at iteration 50
+        src = tmp_path / "x.csv"
+        write_matrix_csv(src, battery[14].dense())
+        args = ["solve", str(src), "--estimator", "positive_invcov", "--tol", "1e-8",
+                "-o", str(tmp_path / "e.csv")]
+        assert main(args + ["--max-iter", "25"]) == 3
+        assert main(args + ["--max-iter", "50"]) == 0
+
     def test_uncertified_closed_form_exit_code(self, tmp_path, ill_conditioned):
         src = tmp_path / "ill.csv"
         write_matrix_csv(src, ill_conditioned)
@@ -316,6 +327,19 @@ class TestBench:
                      "-o", str(out)]) == 0
         b = json.loads(out.read_text())
         assert b["solved_directly"] is True and b["max_deviation"] <= 1e-5
+
+    def test_positive_invcov(self, tmp_path):
+        """On planted blocks with nonpositive off-block entries the decomposed
+        solve agrees with the direct one, and the payload gives both times
+        and iteration counts."""
+        out = tmp_path / "b.json"
+        assert main(["bench", "--estimator", "positive_invcov", "--p", "60", "--blocks", "3",
+                     "-o", str(out)]) == 0
+        b = json.loads(out.read_text())
+        assert b["estimator"] == "positive_invcov" and b["lam"] is None
+        assert b["solved_directly"] is True and b["max_deviation"] <= 1e-5
+        assert b["seconds_direct"] > 0 and b["seconds_decomposed"] > 0
+        assert b["iterations_direct"] > 0 and b["iterations_decomposed"] > 0
 
     @pytest.mark.parametrize("entry", ["solve", "solve_decomposed"])
     def test_uncertified_solve_exit_code(self, monkeypatch, capsys, entry):

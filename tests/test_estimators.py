@@ -21,8 +21,10 @@ from suffreduce.estimators import (
     _completion_inverse,
     _fantope_project_dense,
     _glasso_start,
+    _positive_invcov_polish,
     _separable_check,
     _size_groups,
+    _stack_check,
     _support,
     fantope_spca,
     glasso,
@@ -324,12 +326,23 @@ class TestStackedDriver:
         return (EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
                 SymMatrix.wrap(np.where(same, d, -np.abs(d))))
 
-    # blocks exit the stack at iterations 1-17 (glasso), 42-54
+    @staticmethod
+    def _polish_case(seed, make_battery):
+        # the ten 20 x 20 battery inputs 52, 55, ..., 79, one block each; on
+        # _case's planted blocks every member certifies its first polish at
+        # iteration 25, here one member's first polish fails (73 at seed
+        # 20240817, 76 at seed 7), so the members leave at 25 and at 50
+        blocks = [x.dense() for x in make_battery(seed, 80)[52::3]]
+        return (EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY)),
+                SymMatrix.wrap(block_diag(*blocks)))
+
+    # blocks exit the stack at iterations 1-17 (glasso), 25 and 50
     # (positive_invcov) and 8-12 (sparse_cov)
     @pytest.mark.parametrize("seed", [20240817, 7])
     @pytest.mark.parametrize("case", ["glasso", "positive_invcov", "sparse_cov"])
-    def test_stack_matches_blocks_solved_alone(self, seed, case):
-        spec, x = self._case(seed, case)
+    def test_stack_matches_blocks_solved_alone(self, seed, case, make_battery):
+        spec, x = (self._polish_case(seed, make_battery) if case == "positive_invcov"
+                   else self._case(seed, case))
         rep = solve_decomposed(spec, x)
         assert rep.converged
         assert [len(b.indices) for b in rep.blocks] == [20] * 10
@@ -933,6 +946,97 @@ class TestPositiveInvCov:
             assert rep.converged
             assert np.all(rep.theta.dense()[off] <= 0.0)
             assert certificate_ok(spec, x, rep)
+
+    def test_certificate_scores_a_positive_offdiagonal_entry(self):
+        """inv(x) meets every stationarity condition but has a positive
+        off-diagonal entry: the residual reads that entry and the objective
+        inf, also for a member of a stacked blockwise check."""
+        x = np.cov(np.random.default_rng(0).standard_normal((50, 6)).T)
+        theta = np.linalg.inv(x)
+        off = ~np.eye(6, dtype=bool)
+        worst = theta[off].max()
+        assert worst == pytest.approx(0.159, abs=1e-3)
+        spec = EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY),
+                             opts=OPTS)
+        assert kkt_residual(spec, x, theta) == worst
+        assert objective_at(spec, x, theta) == np.inf
+        rep = solve(spec, x)
+        assert rep.converged and np.all(rep.theta.dense()[off] <= 0.0)
+        assert rep.objective == pytest.approx(5.7367, abs=1e-4)
+        # two copies of x as two 6x6 blocks: the optimum and inv(x)
+        s, t = block_diag(x, x), block_diag(rep.theta.dense(), theta)
+        groups = _size_groups(Partition.from_blocks([range(6), range(6, 12)], 12))
+        stacks = [(s[ix], t[ix]) for _, ix in groups]
+        assert len(stacks) == 1 and len(stacks[0][0]) == 2
+        kkt, objective, _ = _stack_check(spec, s, t, groups, stacks)
+        assert kkt == worst and objective == np.inf
+        rec = _FAMILIES[Family.POSITIVE_INVCOV]
+        shared = rec.share(spec, *stacks[0])
+        alone = rec.residual(spec, *stacks[0], float(np.max(np.abs(t))), shared)
+        assert alone[0] <= spec.opts.tol * (1.0 + np.max(np.abs(x))) and alone[1] == worst
+        pieces = rec.piece(spec, *stacks[0], shared)
+        assert pieces[0] == pytest.approx(rep.objective, rel=1e-12) and pieces[1] == np.inf
+
+
+class TestPositiveInvCovPolish:
+    """positive_invcov's certificate callback polishes each due ADMM point
+    by Newton on its pattern and reports the polished point only where the
+    certificate passes it; the ADMM goes on otherwise."""
+
+    SPEC = EstimatorSpec(Family.POSITIVE_INVCOV, PenaltySpec(PenaltyKind.OFFDIAG_POSITIVITY),
+                         opts=SolverOptions(tol=1e-8))
+
+    @pytest.mark.parametrize("seed", [20240817, 7])
+    @pytest.mark.parametrize("way", [solve, solve_decomposed])
+    def test_battery_reports_are_feasible_and_certified(self, seed, way, make_battery):
+        for x in make_battery(seed):
+            rep = way(self.SPEC, x)
+            theta = rep.theta.dense()
+            assert rep.converged
+            assert np.all(theta[~np.eye(x.p, dtype=bool)] <= 0.0)
+            scale = 1.0 + float(np.max(np.abs(x.dense())))
+            assert kkt_residual(self.SPEC, x, rep.theta) <= self.SPEC.opts.tol * scale
+
+    # summed iterations of these 50 solves before the polish; most now
+    # certify at their first check, iteration 25
+    def test_polish_cuts_battery_iterations(self, battery):
+        assert sum(solve(self.SPEC, x).iterations for x in battery) <= 0.75 * 3133
+
+    def test_failed_first_polish_still_converges(self, battery, monkeypatch):
+        """battery input 14 (p = 30): its first polish, at iteration 25, is
+        not certified, so the ADMM goes on and certifies at iteration 50."""
+        import suffreduce.estimators as est
+
+        x = battery[14]
+        tol = self.SPEC.opts.tol * (1.0 + float(np.max(np.abs(x.dense()))))
+        tried = []
+
+        def recorded(s, z, tol_b):
+            out = _positive_invcov_polish(s, z, tol_b)
+            tried.append(np.inf if out is None else kkt_residual(self.SPEC, s, out))
+            return out
+
+        monkeypatch.setattr(est, "_positive_invcov_polish", recorded)
+        rep = solve(self.SPEC, x)
+        assert x.p == 30 and rep.converged and rep.iterations == 2 * _CHECK_EVERY
+        assert tried[0] > tol and tried[-1] <= tol
+        assert kkt_residual(self.SPEC, x, rep.theta) <= tol
+
+    def test_polish_keeps_the_pattern_and_zeros(self, battery):
+        """From a point on the solution's pattern, perturbed there, the
+        polish is zero wherever that point is, and its gradient on the
+        pattern is within tol."""
+        x = battery[5].dense()
+        theta = solve(self.SPEC, x).theta.dense()
+        on = theta != 0.0
+        bump = 1e-3 * np.random.default_rng(1).standard_normal(theta.shape)
+        z = theta + np.where(on & (theta < -1e-3), bump + bump.T, 0.0)
+        tol = 1e-10
+        out = _positive_invcov_polish(x, z, tol)
+        assert np.array_equal(out == 0.0, z == 0.0) and np.array_equal(out, out.T)
+        grad = np.where(z != 0.0, x - np.linalg.inv(out), 0.0)
+        assert np.max(np.abs(grad)) <= 10 * tol
+        assert _positive_invcov_polish(x, -np.eye(len(x)), tol) is None
 
 
 def _ising_reference(theta):
